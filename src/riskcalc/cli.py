@@ -21,7 +21,7 @@ from .dominance import (
     dominates_first_order,
     dominates_second_order,
 )
-from .errors import ProblemFormatError, RiskcalcError
+from .errors import InvariantViolation, ProblemFormatError, RiskcalcError
 from .integrands import (
     Curvature,
     DecisionPoint,
@@ -722,7 +722,8 @@ def run_command(argv: list[str]) -> int:
     """Dispatch one CLI invocation; writes the report, returns the exit code.
 
     0: success; 1: infeasible, uncertified, or failed selftest; 2: unusable
-    input (bad file, bad flags, domain errors).
+    input (bad file, bad flags, domain errors); 3: internal invariant
+    violation (a bug, reported as ``E_INVARIANT: <message>`` on stderr).
     """
     parser = _build_parser()
     try:
@@ -739,7 +740,7 @@ def run_command(argv: list[str]) -> int:
         return 2
     except RiskcalcError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InvariantViolation) else 2
     report = {
         "command": args.command,
         "version": __version__,

@@ -40,7 +40,6 @@ from .scenario import (
     RandomVariable,
     _readonly,
     _sum_ascending,
-    trivial_partition,
 )
 
 

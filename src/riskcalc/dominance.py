@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -66,18 +67,34 @@ class DominanceConstraint:
         object.__setattr__(self, "grid", grid)
 
     def augmented_levels(self, *variables: RandomVariable) -> np.ndarray:
-        """Grid levels plus every Lorenz breakpoint of the benchmark and the
-        given variables that falls inside [alpha, beta].
+        """The checked level set: the grid plus the Lorenz breakpoints of the
+        benchmark and of the given variables inside [alpha, beta], all > 0.
 
-        At any fixed x the continuum constraint over [alpha, beta] holds iff
-        it holds on these levels.
+        rho_p is linear between consecutive breakpoints of Y and Z, so the
+        continuum constraint holds iff it holds on these levels; Z's are
+        needed because rho_p can peak inside a linear piece of Y.  With no
+        variable, returns the fixed part, computed once per constraint.
         """
-        pieces = [np.asarray(self.grid)]
-        for Z in (self.benchmark, *variables):
-            bp = lorenz_breakpoints(Z)
-            pieces.append(bp[(bp >= self.alpha) & (bp <= self.beta)])
-        merged = np.unique(np.concatenate(pieces))
-        return merged[merged > 0.0]
+        return np.unique(
+            np.concatenate([self._fixed_levels, *map(self._breakpoints_inside, variables)])
+        )
+
+    @cached_property
+    def _fixed_levels(self) -> np.ndarray:
+        return np.unique(np.concatenate([self.grid, self._breakpoints_inside(self.benchmark)]))
+
+    def _breakpoints_inside(self, Z: RandomVariable) -> np.ndarray:
+        bp = lorenz_breakpoints(Z)
+        return bp[(bp >= self.alpha) & (bp <= self.beta)]
+
+    def rho(self, Z: RandomVariable, levels=None) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, lorenz(Y, p) - lorenz(Z, p) at each level p); ``levels``
+        defaults to ``augmented_levels(Z)``, where Z is feasible iff all <= 0."""
+        if levels is None:
+            levels = self.augmented_levels(Z)
+        Y = self.benchmark
+        rho = np.array([lorenz(Y, float(p)) - lorenz(Z, float(p)) for p in levels])
+        return levels, rho
 
 
 # Dominance booleans run in exact rational arithmetic.  Every stored float is
@@ -199,8 +216,7 @@ def constraint_values(
     are <= 0.
     """
     _require_concave(G)
-    Z = evaluate(G, x)
-    return [lorenz(C.benchmark, p) - lorenz(Z, p) for p in C.grid]
+    return C.rho(evaluate(G, x), C.grid)[1].tolist()
 
 
 def constraint_values_at(
@@ -208,8 +224,7 @@ def constraint_values_at(
 ) -> np.ndarray:
     """rho_p at arbitrary levels in (0, 1] (used with augmented grids)."""
     _require_concave(G)
-    Z = evaluate(G, x)
-    return np.array([lorenz(C.benchmark, float(p)) - lorenz(Z, float(p)) for p in levels])
+    return C.rho(evaluate(G, x), levels)[1]
 
 
 def in_B(X: RandomVariable, Y: RandomVariable, C: DominanceConstraint) -> bool:
@@ -220,15 +235,14 @@ def in_B(X: RandomVariable, Y: RandomVariable, C: DominanceConstraint) -> bool:
 def uniform_dominance_margin(
     G: MaxAffineIntegrand, x_tilde: DecisionPoint, C: DominanceConstraint
 ) -> float:
-    """min over the grid of lorenz(G(x_tilde), p) - lorenz(Y, p).
+    """min of lorenz(G(x_tilde), p) - lorenz(Y, p) over the checked levels
+    ``C.augmented_levels(G(x_tilde))``, which equals the infimum over
+    [alpha, beta].
 
     A strictly positive margin is the Slater-type constraint qualification.
-    With a grid refined by ``augmented_levels`` the minimum equals the true
-    infimum over [alpha, beta].
     """
     _require_concave(G)
-    Z = evaluate(G, x_tilde)
-    return min(lorenz(Z, p) - lorenz(C.benchmark, p) for p in C.grid)
+    return -float(np.max(C.rho(evaluate(G, x_tilde))[1]))
 
 
 def constraint_subgradient(

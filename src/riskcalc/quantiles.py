@@ -127,9 +127,10 @@ def integrated_cdf(Z: RandomVariable, eta: float) -> float:
 def lorenz(Z: RandomVariable, p: float) -> float:
     """Integral of the quantile function over (0, p].
 
-    Concave and piecewise linear on [0, 1] with breakpoints at the cumulative
-    probabilities of the sorted atoms; returns +inf outside [0, 1] (the
-    concave extended-real convention).  lorenz(Z, 1) equals E[Z].
+    Convex (its slope, the quantile function, is nondecreasing) and piecewise
+    linear on [0, 1] with breakpoints at the cumulative probabilities of the
+    sorted atoms; returns +inf outside [0, 1] (the convex extended-real
+    convention).  lorenz(Z, 1) equals E[Z].
     """
     p = float(p)
     if math.isnan(p):

@@ -1,8 +1,12 @@
 """Solve dominance-constrained risk minimization problems and certify
 optimality through the subdifferential inclusion.
 
+solve, certify and brute_force_optimum check the dominance constraint on the
+same levels (``DominanceConstraint.augmented_levels``): the grid, plus the
+Lorenz breakpoints of Y and of G(x) inside [alpha, beta].
+
 solve: projected switching subgradient method (feasibility step at the most
-violated augmented level, objective step otherwise).  No inner LP or QP is
+violated checked level, objective step otherwise).  No inner LP or QP is
 ever formed.
 
 certify: searches for a zero of  g_phi + sum_i eta_i d_i + n  with
@@ -33,7 +37,7 @@ from .risk import (
     spectral_identifier_lmo,
     spectral_risk,
 )
-from .scenario import InfoPartition, ProbSpace, RandomVariable, _sum_ascending
+from .scenario import InfoPartition, ProbSpace, _sum_ascending
 
 # Residual search defaults.
 CERT_TOL = 1e-5
@@ -126,18 +130,10 @@ class Solution:
     trace: tuple[tuple[int, float], ...]
 
 
-def _violations(problem: ProblemSpec, Zg: RandomVariable) -> tuple[np.ndarray, np.ndarray]:
-    """rho values over the breakpoint-augmented level set at the current Z."""
-    levels = problem.constraint.augmented_levels(Zg)
-    Y = problem.constraint.benchmark
-    rho = np.array([lorenz(Y, float(p)) - lorenz(Zg, float(p)) for p in levels])
-    return levels, rho
-
-
 def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     """Projected switching subgradient method; deterministic given options.
 
-    Returns the best iterate whose augmented-grid violation is at most
+    Returns the best iterate whose violation on the checked levels is at most
     tol_feas; if none exists, the least-violation iterate flagged infeasible.
     """
     opts = opts or SolveOptions()
@@ -156,7 +152,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     for t in range(opts.iters):
         xp = problem.decision(x)
         Zg = evaluate(problem.constraint_integrand, xp)
-        levels, rho = _violations(problem, Zg)
+        levels, rho = problem.constraint.rho(Zg)
         viol = float(np.max(rho))
         if viol < least_viol:
             least_viol = viol
@@ -188,8 +184,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
             tuple(trace),
         )
     x_hat = problem.decision(best_x)
-    Zg = evaluate(problem.constraint_integrand, x_hat)
-    _, rho = _violations(problem, Zg)
+    _, rho = problem.constraint.rho(evaluate(problem.constraint_integrand, x_hat))
     return Solution(
         x_hat,
         composite_value(problem.risk, problem.objective, x_hat),
@@ -246,10 +241,12 @@ def brute_force_optimum(
 ) -> BruteForceResult:
     """Exhaustive box-grid search; the independent optimization oracle.
 
-    Feasibility is the exact augmented-level Lorenz comparison with a
-    BRUTE_FEAS_GUARD float guard (so mathematically active constraints are
-    not misclassified through last-ulp noise).  Refuses stacked dimension
-    above 4.
+    Feasibility is the Lorenz comparison on the levels that solve and certify
+    check (the grid, plus the Lorenz breakpoints of Y and of G(x) inside
+    [alpha, beta]), with a BRUTE_FEAS_GUARD float guard so that active
+    constraints are not misclassified through last-ulp noise.  G(x)'s
+    breakpoints are scanned by a vectorised pass of its own.  Refuses
+    stacked dimension above 4.
     """
     D = problem.stacked_dim
     if D > 4:
@@ -274,16 +271,7 @@ def brute_force_optimum(
     ybp = lorenz_breakpoints(Y)
     y_xs = np.concatenate([[0.0], ybp])
     y_ys = np.array([0.0] + [lorenz(Y, float(p)) for p in ybp])
-    # Fixed levels: the stored grid plus the benchmark's own breakpoints.
-    fixed_levels = np.unique(
-        np.concatenate(
-            [
-                np.asarray(problem.constraint.grid),
-                ybp[(ybp >= problem.constraint.alpha) & (ybp <= problem.constraint.beta)],
-            ]
-        )
-    )
-    fixed_levels = fixed_levels[fixed_levels > 0.0]
+    fixed_levels = problem.constraint.augmented_levels()
     y_at_fixed = np.array([lorenz(Y, float(p)) for p in fixed_levels])
     alpha, beta = problem.constraint.alpha, problem.constraint.beta
 
@@ -427,12 +415,8 @@ class _ResidualGeometry:
         self.D = problem.stacked_dim
         self.Zf = evaluate(problem.objective, x_hat)
         self.Zg = evaluate(problem.constraint_integrand, x_hat)
-        Y = problem.constraint.benchmark
-        self.active_levels = tuple(
-            p
-            for p in problem.constraint.grid
-            if abs(lorenz(Y, p) - lorenz(self.Zg, p)) <= act_tol
-        )
+        levels, rho = problem.constraint.rho(self.Zg)
+        self.active_levels = tuple(float(p) for p in levels[np.abs(rho) <= act_tol])
         # Scenario -> block bookkeeping for the LMOs.
         if self.partition is None:
             self.block_of = np.zeros(self.space.size, dtype=int)

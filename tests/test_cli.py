@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from riskcalc import cli
 from riskcalc.cli import load_problem, run_command
-from riskcalc.errors import ProblemFormatError
+from riskcalc.errors import InvariantViolation, ProblemFormatError
 from tests.conftest import instance_path
 
 
@@ -201,6 +202,19 @@ class TestDiagnosticCodes:
         code, out, err = run(["eval", "--problem", path], capsys)
         assert code == 2
         assert err.startswith("E_PROB_SUM")
+        assert out == ""
+
+    def test_invariant_violation_exits_3(self, monkeypatch, capsys):
+        # a disagreement of the exact dominance routes is a bug, not bad input
+        def disagree(X, Y):
+            raise InvariantViolation("routes disagree")
+
+        monkeypatch.setattr(cli, "dominates_first_order", disagree)
+        code, out, err = run(
+            ["dominance", "--problem", instance_path("omega4_staircase")], capsys
+        )
+        assert code == 3
+        assert err == "E_INVARIANT: routes disagree\n"
         assert out == ""
 
 

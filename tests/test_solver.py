@@ -19,6 +19,7 @@ from riskcalc import (
     lagrangian_value,
     nu_from_mu,
     solve,
+    uniform_dominance_margin,
 )
 from riskcalc.cli import load_problem
 from tests.conftest import abs_integrand, instance_path, integrand, rv
@@ -49,6 +50,16 @@ def forcing_problem():
     G = integrand(space, [[(1.0, 0.0)]] * 2, Curvature.CONCAVE)
     C = DominanceConstraint(rv([1.0, 1.0]), 1.0, 1.0, (1.0,))
     return ProblemSpec(space, E, F, G, C, np.array([0.0]), np.array([3.0]))
+
+
+def off_grid_problem():
+    # minimize E[x] s.t. G(x) = x + (0, 1, 2) dominates Y = (0, 2.5, 2.5) on
+    # [0.5, 1]: the constraint binds only at the breakpoint 2/3, off the grid
+    space = equiprobable(3)
+    F = integrand(space, [[(1.0, 0.0)]] * 3)
+    G = integrand(space, [[(1.0, c)] for c in (0.0, 1.0, 2.0)], Curvature.CONCAVE)
+    C = DominanceConstraint(rv([0.0, 2.5, 2.5]), 0.5, 1.0, (0.5, 1.0))
+    return ProblemSpec(space, E, F, G, C, np.array([-2.0]), np.array([2.0]))
 
 
 def infeasible_problem():
@@ -310,6 +321,23 @@ class TestCertify:
         cert = certify(prob, deterministic(0.5))
         assert cert.accepted
         assert cert.kappa == 0.0
+
+    def test_accepts_optimum_binding_off_grid(self):
+        prob = off_grid_problem()
+        bf = brute_force_optimum(prob, 1e-3)
+        assert bf.x.vectors[0][0] == pytest.approx(0.75, abs=1e-12)
+        cert = certify(prob, bf.x)
+        assert cert.accepted
+        assert cert.levels == pytest.approx((2.0 / 3.0,), abs=1e-12)
+        assert cert.kappa == pytest.approx(1.5, abs=1e-6)
+
+    def test_margin_sees_off_grid_violation(self):
+        # x = 0.7 satisfies the constraint on the grid but not at 2/3
+        prob = off_grid_problem()
+        margin = uniform_dominance_margin(
+            prob.constraint_integrand, deterministic(0.7), prob.constraint
+        )
+        assert margin == pytest.approx(-1.0 / 30.0, abs=1e-12)
 
     def test_deterministic_certificates(self):
         prob = forcing_problem()

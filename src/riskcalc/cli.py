@@ -8,6 +8,7 @@ exactly; reports are byte-identical across runs apart from the timestamp.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -54,7 +55,7 @@ from .scenario import (
     expectation,
 )
 from .composite import composite_subgradient, composite_value
-from .solver import ProblemSpec, SolveOptions, certify, solve
+from .solver import CERT_TOL, TOL_FEAS, ProblemSpec, SolveOptions, certify, solve
 
 PROB_FILE_SUM_TOL = 1e-12
 
@@ -522,7 +523,7 @@ def _solution_dict(sol) -> dict:
 def _cmd_solve(args, loaded: LoadedProblem) -> tuple[int, dict]:
     opts = loaded.options
     if args.iters is not None:
-        opts = SolveOptions(iters=args.iters, gamma0=opts.gamma0, tol_feas=opts.tol_feas)
+        opts = dataclasses.replace(opts, iters=args.iters)
     sol = solve(loaded.spec, opts)
     return (0 if sol.feasible else 1), _solution_dict(sol)
 
@@ -539,13 +540,11 @@ def _cmd_certify(args, loaded: LoadedProblem) -> tuple[int, dict]:
     else:
         opts = loaded.options
         if args.iters is not None:
-            opts = SolveOptions(
-                iters=args.iters, gamma0=opts.gamma0, tol_feas=opts.tol_feas
-            )
+            opts = dataclasses.replace(opts, iters=args.iters)
         sol = solve(problem, opts)
         x_hat = sol.x_hat
         source = "solve"
-    tol = args.tol if args.tol is not None else 1e-5
+    tol = args.tol if args.tol is not None else CERT_TOL
     cert = certify(problem, x_hat, tol=tol)
     results = {
         "x_hat": _plain(x_hat.vectors),
@@ -723,7 +722,9 @@ def run_command(argv: list[str]) -> int:
 
     0: success; 1: infeasible, uncertified, or failed selftest; 2: unusable
     input (bad file, bad flags, domain errors); 3: internal invariant
-    violation (a bug, reported as ``E_INVARIANT: <message>`` on stderr).
+    violation (a bug, reported as ``E_INVARIANT: <message>`` on stderr) or
+    any other unexpected exception (a bug, reported as
+    ``E_INTERNAL: <ExceptionType>: <message>`` on stderr).
     """
     parser = _build_parser()
     try:
@@ -741,6 +742,9 @@ def run_command(argv: list[str]) -> int:
     except RiskcalcError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InvariantViolation) else 2
+    except Exception as exc:
+        print(f"E_INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report = {
         "command": args.command,
         "version": __version__,
@@ -750,8 +754,8 @@ def run_command(argv: list[str]) -> int:
             "argv": list(argv),
         },
         "tolerances": {
-            "tol": args.tol if args.tol is not None else 1e-5,
-            "tol_feas": loaded.options.tol_feas if loaded else 1e-6,
+            "tol": args.tol if args.tol is not None else CERT_TOL,
+            "tol_feas": loaded.options.tol_feas if loaded else TOL_FEAS,
         },
         "results": _plain(results),
     }

@@ -175,9 +175,9 @@ def composite_subgradient(
     else:
         _check_measurable_structure(direction, partition)
         d_exp = _expand_decision(direction, partition)
-        rate = directional_derivative(F, x_exp, d_exp)
-        zeta = spectral_identifier_lmo(Z, risk, rate.values)
-        sel = subgradient_selector(F, x_exp, d_exp)
+        _, rows, rates = F._select(x_exp, d_exp)
+        zeta = spectral_identifier_lmo(Z, risk, rates)
+        sel = SubgradientSelector(F.space, rows)
     if np.any(zeta < 0.0):
         raise StructuralError("risk identifier has a negative entry")
     blocks = _conditional_blocks(F.space, partition, zeta, sel.rows)

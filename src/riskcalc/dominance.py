@@ -228,8 +228,11 @@ def constraint_values_at(
 
 
 def in_B(X: RandomVariable, Y: RandomVariable, C: DominanceConstraint) -> bool:
-    """Membership of X in the Lorenz-dominance set over Y at the grid levels."""
-    return all(lorenz(X, p) >= lorenz(Y, p) for p in C.grid)
+    """Membership of X in the Lorenz-dominance set over Y on [alpha, beta]:
+    lorenz(X, p) >= lorenz(Y, p) at every level of
+    ``C.augmented_levels(X, Y)``, which decides the whole interval because
+    both sides are linear between those levels."""
+    return all(lorenz(X, float(p)) >= lorenz(Y, float(p)) for p in C.augmented_levels(X, Y))
 
 
 def uniform_dominance_margin(

@@ -9,6 +9,13 @@ Because every piece is affine, directional derivatives, differential
 quotients, and subgradient selectors are all exact: a selector picks one
 active piece per scenario, and any scenario-wise convex combination of
 selectors is again a valid selector.
+
+The pieces are stored once, as an (N, m, n) slope tensor and an (N, m)
+offset array, m being the largest piece count; a scenario with fewer pieces
+repeats its last one.  One kernel (``MaxAffineIntegrand._select``) evaluates
+every piece of every scenario in a single batched product and picks the
+active piece per scenario; evaluate, the directional derivative, the
+selector and the certifier's linear minimisation oracles all call it.
 """
 
 from __future__ import annotations
@@ -74,11 +81,6 @@ class DecisionPoint:
             )
         )
 
-    def row_for_scenario(self, k: int) -> np.ndarray:
-        if self.partition is None:
-            return self.vectors[0]
-        return self.vectors[self.partition.block_of[k]]
-
     def scenario_matrix(self, space: ProbSpace) -> np.ndarray:
         """Expand to one row per scenario."""
         if self.partition is None:
@@ -97,44 +99,51 @@ def deterministic(x) -> DecisionPoint:
 
 @dataclass(frozen=True, eq=False)
 class MaxAffineIntegrand:
-    """Per scenario k: f(x, k) = max_j (<slopes[k][j], x> + offsets[k][j])
+    """Per scenario k: f(x, k) = max_j (<slopes[k, j], x> + offsets[k, j])
     for CONVEX curvature, min over the same pieces for CONCAVE.
 
-    ``slopes[k]`` is an (m_k, n) array and ``offsets[k]`` an (m_k,) array;
-    every scenario needs at least one piece.
+    Built from one (m_k, n) slope array and one (m_k,) offset array per
+    scenario, every scenario with at least one piece.  Stored as a read-only
+    (N, m, n) ``slopes`` tensor and (N, m) ``offsets`` array with m the
+    largest m_k: a scenario with fewer pieces repeats its last piece up to m.
+    Repeating a piece changes no max or min, and since ties go to the lowest
+    index it changes no chosen piece either.
     """
 
     space: ProbSpace
-    slopes: tuple[np.ndarray, ...]
-    offsets: tuple[np.ndarray, ...]
+    slopes: np.ndarray
+    offsets: np.ndarray
     curvature: Curvature
 
     def __post_init__(self):
         if len(self.slopes) != self.space.size or len(self.offsets) != self.space.size:
             raise StructuralError("need one piece family per scenario")
-        dims = set()
-        slopes = []
-        offsets = []
-        for k, (A, b) in enumerate(zip(self.slopes, self.offsets)):
-            A = np.asarray(A, dtype=float)
-            b = np.asarray(b, dtype=float)
+        slopes = [np.asarray(A, dtype=float) for A in self.slopes]
+        offsets = [np.asarray(b, dtype=float) for b in self.offsets]
+        for k, (A, b) in enumerate(zip(slopes, offsets)):
             if A.ndim != 2 or A.shape[0] == 0:
                 raise StructuralError(f"scenario {k} needs at least one affine piece")
             if b.shape != (A.shape[0],):
                 raise StructuralError(f"scenario {k}: offsets do not match pieces")
-            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-                raise DomainError(f"scenario {k}: piece coefficients must be finite")
-            dims.add(A.shape[1])
-            slopes.append(_readonly(A))
-            offsets.append(_readonly(b))
-        if len(dims) != 1:
+        if len({A.shape[1] for A in slopes}) != 1:
             raise StructuralError("all scenarios must share the decision dimension")
-        object.__setattr__(self, "slopes", tuple(slopes))
-        object.__setattr__(self, "offsets", tuple(offsets))
+        counts = np.array([A.shape[0] for A in slopes])
+        # Row j of scenario k is its piece min(j, m_k - 1).
+        take = (np.cumsum(counts) - counts)[:, None] + np.minimum(
+            np.arange(counts.max()), counts[:, None] - 1
+        )
+        S = np.concatenate(slopes)[take]
+        b = np.concatenate(offsets)[take]
+        finite = np.all(np.isfinite(S), axis=(1, 2)) & np.all(np.isfinite(b), axis=1)
+        if not np.all(finite):
+            k = int(np.argmin(finite))
+            raise DomainError(f"scenario {k}: piece coefficients must be finite")
+        object.__setattr__(self, "slopes", _readonly(S))
+        object.__setattr__(self, "offsets", _readonly(b))
 
     @property
     def dim(self) -> int:
-        return self.slopes[0].shape[1]
+        return self.slopes.shape[2]
 
     def _check_decision(self, x: DecisionPoint):
         if x.dim != self.dim:
@@ -144,23 +153,54 @@ class MaxAffineIntegrand:
         if x.partition is not None and x.partition.space != self.space:
             raise StructuralError("decision partition lives on a different space")
 
-    def piece_values(self, k: int, xk: np.ndarray) -> np.ndarray:
-        return self.slopes[k] @ xk + self.offsets[k]
+    def _rates(self, x: DecisionPoint) -> np.ndarray:
+        """(N, m): <slopes[k, j], x_k> for every piece of every scenario.
 
-    def scenario_value(self, k: int, xk: np.ndarray) -> float:
-        vals = self.piece_values(k, xk)
-        if self.curvature is Curvature.CONVEX:
-            return float(np.max(vals))
-        return float(np.min(vals))
+        Both forms run one matrix-vector product per scenario, so they give
+        the same bits; the deterministic one skips the broadcast row matrix,
+        which costs more than the product itself at a few scenarios.
+        """
+        if x.partition is None:
+            return self.slopes @ x.vectors[0]
+        return np.matmul(self.slopes, x.scenario_matrix(self.space)[:, :, None])[:, :, 0]
 
-    def active_pieces(self, k: int, xk: np.ndarray) -> np.ndarray:
-        """Indices of pieces within ACTIVITY_TOL of the scenario max/min."""
-        vals = self.piece_values(k, xk)
-        if self.curvature is Curvature.CONVEX:
-            best = np.max(vals)
-            return np.nonzero(vals >= best - ACTIVITY_TOL)[0]
-        best = np.min(vals)
-        return np.nonzero(vals <= best + ACTIVITY_TOL)[0]
+    def _select(
+        self, x: DecisionPoint, direction: DecisionPoint | None = None, choose: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(values, rows, rates): the one active-piece kernel.
+
+        ``values`` holds the scenario max (CONVEX) or min (CONCAVE) at x.
+        Unless ``choose`` is false, ``rows`` holds per scenario the gradient
+        of one active piece (within ACTIVITY_TOL of the max/min).  Without a
+        direction it is the lowest-index active piece and ``rates`` is None.
+        With one, it is the active piece of largest rate <slope, direction_k>
+        (smallest for CONCAVE), ties to the lowest index, and ``rates`` holds
+        that rate: the directional derivative.
+        """
+        self._check_decision(x)
+        if direction is not None and not x.same_structure(direction):
+            raise StructuralError("point and direction have different block structure")
+        vals = self._rates(x) + self.offsets
+        convex = self.curvature is Curvature.CONVEX
+        best = vals.max(axis=1) if convex else vals.min(axis=1)
+        if not choose:
+            return best, None, None
+        if convex:
+            active = vals >= best[:, None] - ACTIVITY_TOL
+        else:
+            active = vals <= best[:, None] + ACTIVITY_TOL
+        scenarios = np.arange(self.space.size)
+        if direction is None:
+            chosen = active.argmax(axis=1)
+            rates = None
+        else:
+            all_rates = self._rates(direction)
+            if convex:
+                chosen = np.where(active, all_rates, -np.inf).argmax(axis=1)
+            else:
+                chosen = np.where(active, all_rates, np.inf).argmin(axis=1)
+            rates = all_rates[scenarios, chosen]
+        return best, self.slopes[scenarios, chosen], rates
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +220,7 @@ class SubgradientSelector:
 
 def evaluate(F: MaxAffineIntegrand, x: DecisionPoint) -> RandomVariable:
     """The random variable F(x)."""
-    F._check_decision(x)
-    out = np.empty(F.space.size)
-    for k in range(F.space.size):
-        out[k] = F.scenario_value(k, x.row_for_scenario(k))
-    return RandomVariable(F.space, out)
+    return RandomVariable(F.space, F._select(x, choose=False)[0])
 
 
 def directional_derivative(
@@ -195,17 +231,7 @@ def directional_derivative(
     Exact for max-affine pieces: max over active pieces of <slope, h_k> for
     CONVEX, min for CONCAVE.
     """
-    F._check_decision(x)
-    if not x.same_structure(h):
-        raise StructuralError("point and direction have different block structure")
-    out = np.empty(F.space.size)
-    for k in range(F.space.size):
-        act = F.active_pieces(k, x.row_for_scenario(k))
-        rates = F.slopes[k][act] @ h.row_for_scenario(k)
-        out[k] = float(np.max(rates)) if F.curvature is Curvature.CONVEX else float(
-            np.min(rates)
-        )
-    return RandomVariable(F.space, out)
+    return RandomVariable(F.space, F._select(x, h)[2])
 
 
 def differential_quotient(
@@ -236,24 +262,7 @@ def subgradient_selector(
     (minimizing for CONCAVE), so that <rows[k], direction_k> equals the
     directional derivative scenario-wise.  Ties go to the lowest index.
     """
-    F._check_decision(x)
-    if direction is not None and not x.same_structure(direction):
-        raise StructuralError("point and direction have different block structure")
-    rows = np.empty((F.space.size, F.dim))
-    for k in range(F.space.size):
-        act = F.active_pieces(k, x.row_for_scenario(k))
-        if direction is None:
-            chosen = act[0]
-        else:
-            rates = F.slopes[k][act] @ direction.row_for_scenario(k)
-            pos = (
-                int(np.argmax(rates))
-                if F.curvature is Curvature.CONVEX
-                else int(np.argmin(rates))
-            )
-            chosen = act[pos]
-        rows[k] = F.slopes[k][chosen]
-    return SubgradientSelector(F.space, rows)
+    return SubgradientSelector(F.space, F._select(x, direction)[1])
 
 
 def blend_selectors(

@@ -417,22 +417,11 @@ class _ResidualGeometry:
         self.Zg = evaluate(problem.constraint_integrand, x_hat)
         levels, rho = problem.constraint.rho(self.Zg)
         self.active_levels = tuple(float(p) for p in levels[np.abs(rho) <= act_tol])
-        # Scenario -> block bookkeeping for the LMOs.
+        # Per scenario, the probability of its block (1 when deterministic).
         if self.partition is None:
-            self.block_of = np.zeros(self.space.size, dtype=int)
-            self.block_probs = np.ones(1)
+            self.block_prob = np.ones(self.space.size)
         else:
-            self.block_of = self.partition.block_of
-            self.block_probs = self.partition.block_probs
-        # Active-piece caches (the point is fixed throughout the run).
-        self.f_active = [
-            problem.objective.active_pieces(k, x_hat.row_for_scenario(k))
-            for k in range(self.space.size)
-        ]
-        self.g_active = [
-            problem.constraint_integrand.active_pieces(k, x_hat.row_for_scenario(k))
-            for k in range(self.space.size)
-        ]
+            self.block_prob = self.partition.block_probs[self.partition.block_of]
         # Normal-cone reduction masks on stacked coordinates.
         flat = x_hat.vectors.ravel()
         lo, hi = problem.block_bounds()
@@ -446,25 +435,23 @@ class _ResidualGeometry:
         out[self.at_upper] = np.maximum(out[self.at_upper], 0.0)
         return out
 
-    def _block_slices(self, c: np.ndarray) -> np.ndarray:
-        return c.reshape(self.B, self.n)
+    def _active_choice(
+        self, integrand: MaxAffineIntegrand, c: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per scenario, the active piece of ``integrand`` at x that is extreme
+        along -c (largest rate for CONVEX, smallest for CONCAVE), as (selector
+        rows, tilt): the rates along -c divided by the block probability."""
+        minus_c = DecisionPoint(-c.reshape(self.B, self.n), self.x.partition)
+        _, rows, rates = integrand._select(self.x, minus_c)
+        return rows, rates / self.block_prob
 
     def objective_vertex(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Minimize <g, c> over the composite subdifferential polytope.
 
         Returns (stacked vector, zeta, selector rows).
         """
-        F = self.problem.objective
-        cb = self._block_slices(c)
-        rows = np.empty((self.space.size, self.n))
-        tilt = np.empty(self.space.size)
-        for k in range(self.space.size):
-            act = self.f_active[k]
-            rates = F.slopes[k][act] @ cb[self.block_of[k]]
-            pos = int(np.argmin(rates))
-            rows[k] = F.slopes[k][act[pos]]
-            tilt[k] = rates[pos] / self.block_probs[self.block_of[k]]
-        zeta = spectral_identifier_lmo(self.Zf, self.problem.risk, -tilt)
+        rows, tilt = self._active_choice(self.problem.objective, c)
+        zeta = spectral_identifier_lmo(self.Zf, self.problem.risk, tilt)
         blocks = _conditional_blocks(self.space, self.partition, zeta, rows)
         return blocks.ravel(), zeta, rows
 
@@ -472,17 +459,8 @@ class _ResidualGeometry:
         self, p: float, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Minimize <d, c> over the level-p constraint subgradient polytope."""
-        G = self.problem.constraint_integrand
-        cb = self._block_slices(c)
-        rows = np.empty((self.space.size, self.n))
-        tilt = np.empty(self.space.size)
-        for k in range(self.space.size):
-            act = self.g_active[k]
-            rates = G.slopes[k][act] @ cb[self.block_of[k]]
-            pos = int(np.argmax(rates))
-            rows[k] = G.slopes[k][act[pos]]
-            tilt[k] = rates[pos] / self.block_probs[self.block_of[k]]
-        zeta = avar_identifier_lmo(self.Zg, p, Orientation.LOWER, tilt).zeta
+        rows, tilt = self._active_choice(self.problem.constraint_integrand, c)
+        zeta = avar_identifier_lmo(self.Zg, p, Orientation.LOWER, -tilt).zeta
         blocks = _conditional_blocks(self.space, self.partition, p * zeta, rows)
         return -blocks.ravel(), zeta, rows
 
@@ -725,9 +703,6 @@ def certify(
             )
             cons_zetas.append(z)
             cons_sels.append(s)
-        kappa_out = kappa
-    else:
-        kappa_out = kappa
     # Complementarity over the reported support.
     Y = problem.constraint.benchmark
     if support:
@@ -735,14 +710,14 @@ def certify(
             w * (avar_lower(geom.Zg, p) - avar_lower(Y, p))
             for p, w in zip(support, weights)
         ]
-        c_gap = abs(kappa_out * _sum_ascending(gap_terms))
+        c_gap = abs(kappa * _sum_ascending(gap_terms))
     else:
         c_gap = 0.0
-    nu = tuple((p, (kappa_out / p) * w) for p, w in zip(support, weights))
+    nu = tuple((p, (kappa / p) * w) for p, w in zip(support, weights))
     normal_part = geom.reduce(y) - y
     accepted = residual <= tol and c_gap <= tol
     return Certificate(
-        kappa=kappa_out,
+        kappa=kappa,
         levels=tuple(support),
         weights=tuple(weights),
         residual=residual,

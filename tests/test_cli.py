@@ -217,6 +217,19 @@ class TestDiagnosticCodes:
         assert err == "E_INVARIANT: routes disagree\n"
         assert out == ""
 
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        # a crash is a bug, not a rejected certificate (exit 1)
+        def crash(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "certify", crash)
+        code, out, err = run(
+            ["certify", "--problem", instance_path("active_scalar")], capsys
+        )
+        assert code == 3
+        assert err == "E_INTERNAL: ValueError: boom\n"
+        assert out == ""
+
 
 class TestCommands:
     def test_eval_staircase_lorenz(self, capsys):

@@ -194,6 +194,15 @@ class TestMembership:
         X = RandomVariable(Y.space, Y.values - 1e-6)
         assert not in_B(X, Y, C)
 
+    def test_off_grid_violation_leaves(self):
+        # At level 2/3, a breakpoint off the grid (0.5, 1), lorenz(X) = 0.8
+        # falls below lorenz(Y) = 5/6 by 1/30; both grid levels hold.
+        space = equiprobable(3)
+        X = RandomVariable(space, np.array([0.7, 1.7, 2.7]))
+        Y = RandomVariable(space, np.array([0.0, 2.5, 2.5]))
+        C = DominanceConstraint(Y, 0.5, 1.0, (0.5, 1.0))
+        assert not in_B(X, Y, C)
+
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(93)
         count = 0

@@ -389,3 +389,61 @@ class TestDecisionPoint:
         part = InfoPartition(space, ((0, 2), (1,)))
         x = DecisionPoint(np.array([[5.0], [7.0]]), part)
         assert x.scenario_matrix(space).tolist() == [[5.0], [7.0], [5.0]]
+
+
+class TestPadding:
+    """Ragged families are stored padded with each scenario's last piece; the
+    answers must equal a per-scenario loop over the pieces as given.  Small
+    integer and half-integer coefficients make every product and sum exact,
+    so ties are real ties and equality is exact."""
+
+    @staticmethod
+    def reference(pieces, curvature, space, x, h):
+        convex = curvature is Curvature.CONVEX
+        xs = x.scenario_matrix(space)
+        hs = None if h is None else h.scenario_matrix(space)
+        values, rates, rows = [], [], []
+        for k, (A, b) in enumerate(pieces):
+            vals = A @ xs[k] + b
+            best = max(vals) if convex else min(vals)
+            act = [j for j, v in enumerate(vals) if abs(v - best) <= 1e-10]
+            values.append(best)
+            if hs is None:
+                rows.append(A[act[0]])
+                continue
+            r = [float(A[j] @ hs[k]) for j in act]
+            pos = r.index(max(r) if convex else min(r))
+            rates.append(r[pos])
+            rows.append(A[act[pos]])
+        return np.array(values), np.array(rates), np.array(rows)
+
+    @pytest.mark.parametrize("curvature", [Curvature.CONVEX, Curvature.CONCAVE])
+    @pytest.mark.parametrize("blocks", [None, ((0, 3, 5), (1, 2), (4,))])
+    def test_matches_per_scenario_loop(self, curvature, blocks):
+        rng = np.random.default_rng(11)
+        n, dim = 6, 2
+        space = equiprobable(n)
+        part = None if blocks is None else InfoPartition(space, blocks)
+        rows_needed = 1 if part is None else part.num_blocks
+        for _ in range(40):
+            pieces = []
+            for k in range(n):
+                m = int(rng.integers(1, 5))
+                A = rng.integers(-2, 3, (m, dim)).astype(float)
+                b = rng.integers(-2, 3, m).astype(float)
+                if m > 1 and k % 2 == 0:
+                    # a duplicated piece, and a tie with the first piece
+                    A[-1], b[-1] = A[0], b[0]
+                pieces.append((A, b))
+            F = MaxAffineIntegrand(
+                space, tuple(A for A, _ in pieces), tuple(b for _, b in pieces), curvature
+            )
+            assert F.slopes.shape == (n, max(A.shape[0] for A, _ in pieces), dim)
+            x = DecisionPoint(rng.integers(-2, 3, (rows_needed, dim)) / 2.0, part)
+            h = DecisionPoint(rng.integers(-2, 3, (rows_needed, dim)) / 2.0, part)
+            values, _, rows = self.reference(pieces, curvature, space, x, None)
+            _, rates, dir_rows = self.reference(pieces, curvature, space, x, h)
+            assert np.array_equal(evaluate(F, x).values, values)
+            assert np.array_equal(subgradient_selector(F, x).rows, rows)
+            assert np.array_equal(directional_derivative(F, x, h).values, rates)
+            assert np.array_equal(subgradient_selector(F, x, h).rows, dir_rows)

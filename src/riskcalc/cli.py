@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -670,7 +671,9 @@ def _cmd_selftest(args, loaded) -> tuple[int, dict]:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing does not change the parser.
     parser = argparse.ArgumentParser(
         prog="riskcalc",
         description="Scenario-based risk optimization toolkit",

@@ -9,13 +9,21 @@ solve: projected switching subgradient method (feasibility step at the most
 violated checked level, objective step otherwise).  No inner LP or QP is
 ever formed.
 
-certify: searches for a zero of  g_phi + sum_i eta_i d_i + n  with
-g_phi in the composite subdifferential, d_i in the constraint subdifferential
-generators at near-active levels, and n in the box normal cone.  The normal
-cone is eliminated in closed form; the rest is a distance-to-polytope problem
-solved by Frank-Wolfe with pairwise steps over the exact sorting/active-piece
-LMOs, plus an exact least-squares polish on the discovered vertex support
-(accepted only when it verifiably lowers the true residual).
+certify: measures the distance from 0 to  g + sum_p eta_p d_p + n  with g in
+the composite subdifferential polytope, d_p in the constraint subgradient
+polytope at each active checked level p, eta_p >= 0, and n in the box normal
+cone, by column generation over the exact sorting/active-piece LMOs.
+  - Columns: objective vertices, whose weights sum to one; one constraint
+    vertex per active level and round, conic with no cap; the normal-cone
+    generators -e_i / +e_i where x sits at a lower / upper bound, conic and
+    present from the start.
+  - Master: min ||M w||^2 over w >= 0 with the objective weights summing to
+    one, solved exactly by Lawson-Hanson's active-set method with one
+    equality constraint.
+  - Pricing: at the master's residual y each LMO gives one column per
+    polytope, with reduced cost <y, v> - ||y||^2 (objective) or <y, d>
+    (conic).  The loop stops when no priced column gains more than tol^2/4,
+    when every gaining column is present already, or after max_iters rounds.
 """
 
 from __future__ import annotations
@@ -33,9 +41,7 @@ from .risk import (
     Orientation,
     SpectralMeasure,
     avar_identifier_lmo,
-    avar_lower,
     spectral_identifier_lmo,
-    spectral_risk,
 )
 from .scenario import InfoPartition, ProbSpace, _sum_ascending
 
@@ -43,6 +49,8 @@ from .scenario import InfoPartition, ProbSpace, _sum_ascending
 CERT_TOL = 1e-5
 ACT_TOL = 1e-5
 BOUND_ACTIVITY_TOL = 1e-9
+# Relative share of ||M w|| below which the master drops a conic weight.
+CONIC_ZERO_TOL = 1e-12
 # Feasibility slack for the switching rule.
 TOL_FEAS = 1e-6
 # Absolute float guard when the brute-force oracle classifies feasibility.
@@ -340,8 +348,13 @@ def brute_force_optimum(
 def lagrangian_value(
     problem: ProblemSpec, x: DecisionPoint, kappa: float, mu: SpectralMeasure
 ) -> float:
-    """objective(x) + kappa * spectral_risk(G(x), mu) with lower-oriented mu
-    supported inside the constraint interval."""
+    """objective(x) - kappa * sum_p mu_p * lorenz(G(x), p), with lower-oriented
+    mu supported inside the constraint interval.
+
+    This is the Lagrangian whose stationarity certify checks, with the
+    multipliers eta_p = kappa * mu_p of a certificate (kappa, levels,
+    weights), less the constant kappa * sum_p mu_p * lorenz(Y, p).
+    """
     if mu.orientation is not Orientation.LOWER:
         raise ConfigurationError("multiplier measure must be lower-oriented")
     kappa = float(kappa)
@@ -351,8 +364,9 @@ def lagrangian_value(
     if any(p < a or p > b for p in mu.levels):
         raise DomainError("multiplier measure must be supported in [alpha, beta]")
     base = composite_value(problem.risk, problem.objective, x)
-    penalty = spectral_risk(evaluate(problem.constraint_integrand, x), mu)
-    return base + kappa * penalty
+    Zg = evaluate(problem.constraint_integrand, x)
+    lorenz_mix = _sum_ascending(w * lorenz(Zg, p) for p, w in zip(mu.levels, mu.weights))
+    return base - kappa * lorenz_mix
 
 
 def nu_from_mu(kappa: float, mu: SpectralMeasure) -> tuple[tuple[float, float], ...]:
@@ -391,19 +405,9 @@ class Certificate:
     act_tol: float
 
 
-@dataclass(eq=False)
-class _Vertex:
-    vec: np.ndarray           # stacked total (objective part + cone part)
-    obj_zeta: np.ndarray
-    obj_rows: np.ndarray
-    cone_level: float | None  # None when the cone part is zero
-    cone_zeta: np.ndarray | None
-    cone_rows: np.ndarray | None
-    key: bytes = b""
-
-
 class _ResidualGeometry:
-    """Frozen data for one certification run."""
+    """Frozen data for one certification run: the point, its active levels
+    and the box normal-cone generators."""
 
     def __init__(self, problem: ProblemSpec, x_hat: DecisionPoint, act_tol: float):
         self.problem = problem
@@ -416,24 +420,25 @@ class _ResidualGeometry:
         self.Zf = evaluate(problem.objective, x_hat)
         self.Zg = evaluate(problem.constraint_integrand, x_hat)
         levels, rho = problem.constraint.rho(self.Zg)
-        self.active_levels = tuple(float(p) for p in levels[np.abs(rho) <= act_tol])
+        active = np.abs(rho) <= act_tol
+        # Active level -> its Lorenz gap lorenz(Y, p) - lorenz(G(x), p).
+        self.active_rho = {float(p): float(r) for p, r in zip(levels[active], rho[active])}
         # Per scenario, the probability of its block (1 when deterministic).
         if self.partition is None:
             self.block_prob = np.ones(self.space.size)
         else:
             self.block_prob = self.partition.block_probs[self.partition.block_of]
-        # Normal-cone reduction masks on stacked coordinates.
+        # Box normal-cone generators, one per row on stacked coordinates:
+        # -e_i where x sits at a lower bound, +e_i where it sits at an upper one.
         flat = x_hat.vectors.ravel()
         lo, hi = problem.block_bounds()
-        self.at_lower = flat - lo.ravel() <= BOUND_ACTIVITY_TOL
-        self.at_upper = hi.ravel() - flat <= BOUND_ACTIVITY_TOL
-
-    def reduce(self, y: np.ndarray) -> np.ndarray:
-        """Distance-to-normal-cone residual, coordinate-wise closed form."""
-        out = y.copy()
-        out[self.at_lower] = np.minimum(out[self.at_lower], 0.0)
-        out[self.at_upper] = np.maximum(out[self.at_upper], 0.0)
-        return out
+        eye = np.eye(self.D)
+        self.normals = np.concatenate(
+            [
+                -eye[flat - lo.ravel() <= BOUND_ACTIVITY_TOL],
+                eye[hi.ravel() - flat <= BOUND_ACTIVITY_TOL],
+            ]
+        )
 
     def _active_choice(
         self, integrand: MaxAffineIntegrand, c: np.ndarray
@@ -464,175 +469,138 @@ class _ResidualGeometry:
         blocks = _conditional_blocks(self.space, self.partition, p * zeta, rows)
         return -blocks.ravel(), zeta, rows
 
-    def make_vertex(self, grad: np.ndarray, kappa_cap: float) -> _Vertex:
-        """LMO of the Minkowski sum (objective polytope + capped cone)."""
-        obj_vec, obj_zeta, obj_rows = self.objective_vertex(grad)
-        best_level = None
-        best_val = 0.0
-        best = None
-        for p in self.active_levels:
-            d_vec, d_zeta, d_rows = self.constraint_vertex(p, grad)
-            val = kappa_cap * float(d_vec @ grad)
-            if val < best_val:
-                best_val = val
-                best_level = p
-                best = (kappa_cap * d_vec, d_zeta, d_rows)
-        if best_level is None:
-            vec = obj_vec
-            vertex = _Vertex(vec, obj_zeta, obj_rows, None, None, None)
-        else:
-            vec = obj_vec + best[0]
-            vertex = _Vertex(vec, obj_zeta, obj_rows, best_level, best[1], best[2])
-        level_tag = b"-" if vertex.cone_level is None else repr(vertex.cone_level).encode()
-        vertex.key = np.round(vec, 12).tobytes() + level_tag
-        return vertex
+
+def _simplex_least_squares(M: np.ndarray, simplex: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """argmin ||M z|| over z supported on ``free`` with sum(z[simplex]) = 1.
+
+    The first free simplex weight is eliminated through the constraint and
+    the others solve an unconstrained least-squares problem (no normal
+    equations, so an exact zero residual stays exact where it can).
+    """
+    idx = np.flatnonzero(free)
+    first = idx[simplex[idx]][0]
+    rest = idx[idx != first]
+    B = M[:, rest] - np.outer(M[:, first], simplex[rest])
+    z = np.zeros(M.shape[1])
+    z[rest] = np.linalg.lstsq(B, -M[:, first], rcond=None)[0]
+    z[first] = 1.0 - _sum_ascending(z[rest][simplex[rest]])
+    # A conic weight whose column adds only rounding to M z is zero.
+    share = np.abs(z) * np.linalg.norm(M, axis=0)
+    z[~simplex & (share <= CONIC_ZERO_TOL * share.sum())] = 0.0
+    return z
 
 
-def _line_search(geom: _ResidualGeometry, y: np.ndarray, d: np.ndarray, gmax: float) -> float:
-    """Exact-enough minimization of psi(y + g*d) on [0, gmax] by bisection on
-    the nondecreasing derivative 2<R(y+g d), d>."""
+def _nearest_point(
+    M: np.ndarray, simplex: np.ndarray, w: np.ndarray, min_gain: float
+) -> np.ndarray:
+    """Weights w >= 0 with sum(w[simplex]) = 1 minimizing ||M w||^2, from a
+    feasible ``w`` that is optimal on its own support.
 
-    def slope(g: float) -> float:
-        return float(geom.reduce(y + g * d) @ d)
-
-    if slope(0.0) >= 0.0:
-        return 0.0
-    if slope(gmax) <= 0.0:
-        return gmax
-    lo_g, hi_g = 0.0, gmax
-    for _ in range(80):
-        mid = 0.5 * (lo_g + hi_g)
-        if slope(mid) <= 0.0:
-            lo_g = mid
-        else:
-            hi_g = mid
-    return 0.5 * (lo_g + hi_g)
-
-
-def _polish(
-    geom: _ResidualGeometry, verts: list[_Vertex], y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Equality-constrained least squares on the current support with the
-    residual pattern frozen; returns (lam, y) only if it truly improves."""
-    live = np.ones(geom.D, dtype=bool)
-    live[geom.at_lower & (y >= 0.0)] = False
-    live[geom.at_upper & (y <= 0.0)] = False
-    V = np.stack([v.vec for v in verts], axis=1)
-    A = V[live]
-    m = len(verts)
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * (A.T @ A)
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    try:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    lam_new = sol[:m]
-    if np.any(lam_new < -1e-9):
-        return None
-    lam_new = np.maximum(lam_new, 0.0)
-    s = lam_new.sum()
-    if s <= 0.0:
-        return None
-    lam_new = lam_new / s
-    y_new = V @ lam_new
-    if float(geom.reduce(y_new) @ geom.reduce(y_new)) < float(
-        geom.reduce(y) @ geom.reduce(y)
-    ):
-        return lam_new, y_new
-    return None
+    Lawson-Hanson's active-set method with one equality constraint.  Each
+    round frees the column of most negative reduced cost at y = M w, which
+    is <M_j, y> - ||y||^2 for a simplex column and <M_j, y> for a conic one,
+    solves the equality-constrained least squares on the free columns, and
+    steps back to the boundary while a free weight is nonpositive.  It stops
+    when no reduced cost is below -min_gain, or when a round does not lower
+    ||M w||^2 (rounding), keeping the weights it had.
+    """
+    y = M @ w
+    value = float(y @ y)
+    while True:
+        reduced = M.T @ y - np.where(simplex, value, 0.0)
+        reduced[w > 0.0] = 0.0
+        j = int(np.argmin(reduced))
+        if reduced[j] >= -min_gain:
+            return w
+        free = w > 0.0
+        free[j] = True
+        z = _simplex_least_squares(M, simplex, free)
+        if z[j] <= 0.0:
+            return w
+        trial = w
+        while np.any(z[free] <= 0.0):
+            blocked = free & (z <= 0.0)
+            ratios = np.full(w.shape, np.inf)
+            ratios[blocked] = trial[blocked] / (trial[blocked] - z[blocked])
+            k = int(np.argmin(ratios))
+            trial = np.maximum(trial + ratios[k] * (z - trial), 0.0)
+            trial[k] = 0.0
+            free = trial > 0.0
+            z = _simplex_least_squares(M, simplex, free)
+        y_new = M @ z
+        if float(y_new @ y_new) >= value:
+            return w
+        w, y, value = z, y_new, float(y_new @ y_new)
 
 
-def _fw_residual(
-    geom: _ResidualGeometry, kappa_cap: float, stop_gap: float, max_iters: int
-) -> tuple[np.ndarray, list[_Vertex], np.ndarray, float, int]:
-    """Pairwise Frank-Wolfe over (objective polytope) + (capped conic hull)."""
-    verts: list[_Vertex] = []
-    index: dict[bytes, int] = {}
+def _column_generation(geom: _ResidualGeometry, stop_gap: float, max_iters: int):
+    """Distance from 0 to (objective polytope) + (constraint cones) + (box
+    normal cone) by column generation over the exact LMOs.
 
-    def add_vertex(v: _Vertex) -> int:
-        pos = index.get(v.key)
-        if pos is None:
-            pos = len(verts)
-            verts.append(v)
-            index[v.key] = pos
-        return pos
+    Returns (M, w, columns, gap, rounds): the column matrix, whose first
+    len(geom.normals) columns are the box normal-cone generators, the master
+    weights, (level, zeta, rows) for each later column (level None for an
+    objective vertex), the last pricing gap and the number of pricing rounds.
+    """
+    vecs = list(geom.normals)
+    simplex = [False] * len(vecs)
+    columns: list[tuple[float | None, np.ndarray, np.ndarray]] = []
+    keys: set[tuple[float | None, bytes]] = set()
 
-    v0 = geom.make_vertex(np.zeros(geom.D), kappa_cap)
-    add_vertex(v0)
-    lam = np.array([1.0])
-    y = v0.vec.copy()
-    best_y = y.copy()
-    best_lam = lam.copy()
-    best_psi = float(geom.reduce(y) @ geom.reduce(y))
-    gap = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        grad = 2.0 * geom.reduce(y)
-        fw = geom.make_vertex(grad, kappa_cap)
-        gap = float(grad @ y) - float(grad @ fw.vec)
-        if gap <= stop_gap:
-            break
-        active = np.nonzero(lam > 0.0)[0]
-        away_pos = active[
-            int(np.argmax([float(grad @ verts[j].vec) for j in active]))
+    def add(level, vec, zeta, rows):
+        vecs.append(vec)
+        simplex.append(level is None)
+        columns.append((level, zeta, rows))
+        keys.add((level, vec.tobytes()))
+
+    add(None, *geom.objective_vertex(np.zeros(geom.D)))
+    M = np.column_stack(vecs)
+    w = np.zeros(len(vecs))
+    w[-1] = 1.0
+    w = _nearest_point(M, np.array(simplex), w, stop_gap)
+    gap, rounds = np.inf, 0
+    for rounds in range(1, max_iters + 1):
+        y = M @ w
+        priced = [(None, *geom.objective_vertex(y))]
+        priced += [(p, *geom.constraint_vertex(p, y)) for p in geom.active_rho]
+        # Gain of a column: minus its reduced cost at the master's optimum.
+        gains = [
+            (float(y @ y) if level is None else 0.0) - float(y @ vec)
+            for level, vec, _, _ in priced
         ]
-        fw_pos = add_vertex(fw)
-        if lam.size < len(verts):
-            lam = np.concatenate([lam, np.zeros(len(verts) - lam.size)])
-        if fw_pos == away_pos:
+        gap = max(gains)
+        new = [
+            col
+            for col, gain in zip(priced, gains)
+            if gain > stop_gap and (col[0], col[1].tobytes()) not in keys
+        ]
+        if not new:
             break
-        d = verts[fw_pos].vec - verts[away_pos].vec
-        gmax = float(lam[away_pos])
-        if gmax <= 0.0 or not np.any(d):
-            break
-        step = _line_search(geom, y, d, gmax)
-        if step <= 0.0:
-            break
-        lam[fw_pos] += step
-        lam[away_pos] -= step
-        lam = np.maximum(lam, 0.0)
-        V = np.stack([v.vec for v in verts], axis=1)
-        y = V @ lam
-        psi = float(geom.reduce(y) @ geom.reduce(y))
-        if psi < best_psi:
-            best_psi = psi
-            best_y = y.copy()
-            best_lam = lam.copy()
-        if it % 25 == 0:
-            polished = _polish(geom, verts, y)
-            if polished is not None:
-                lam, y = polished
-                psi = float(geom.reduce(y) @ geom.reduce(y))
-                if psi < best_psi:
-                    best_psi = psi
-                    best_y = y.copy()
-                    best_lam = lam.copy()
-    polished = _polish(geom, verts, best_y)
-    if polished is not None:
-        best_lam, best_y = polished
-    if best_lam.size < len(verts):
-        best_lam = np.concatenate([best_lam, np.zeros(len(verts) - best_lam.size)])
-    return best_y, verts, best_lam, gap, it
+        for col in new:
+            add(*col)
+        M = np.column_stack(vecs)
+        w = _nearest_point(
+            M, np.array(simplex), np.concatenate([w, np.zeros(len(new))]), stop_gap
+        )
+    return M, w, columns, gap, rounds
 
 
 def _aggregate_products(
-    weights: np.ndarray, zetas: list[np.ndarray], rows: list[np.ndarray]
+    members: list[tuple[float, np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a mixture sum_j w_j zeta_j (x) s_j into one identifier and one
-    blended selector (valid by scenario-wise generalized convexity)."""
-    zeta = np.zeros_like(zetas[0])
-    prod = np.zeros_like(rows[0])
-    for w, z, r in zip(weights, zetas, rows):
+    """Factor a mixture sum_j w_j zeta_j (x) s_j, given as (w_j, zeta_j, s_j)
+    triples, into one identifier and one blended selector (valid by
+    scenario-wise generalized convexity)."""
+    first_rows = members[0][2]
+    zeta = np.zeros_like(members[0][1])
+    prod = np.zeros_like(first_rows)
+    for w, z, r in members:
         zeta += w * z
         prod += w * z[:, None] * r
     sel = np.zeros_like(prod)
     nonzero = zeta > 0.0
     sel[nonzero] = prod[nonzero] / zeta[nonzero, None]
-    sel[~nonzero] = rows[0][~nonzero]
+    sel[~nonzero] = first_rows[~nonzero]
     return zeta, sel
 
 
@@ -645,9 +613,19 @@ def certify(
 ) -> Certificate:
     """Search for multipliers witnessing the optimality inclusion at x_hat.
 
+    residual is the distance from 0 to  g + sum_p eta_p d_p + n  over g in
+    the composite subdifferential, d_p in the level-p constraint
+    subgradient polytope at each level p with |rho_p| <= act_tol, eta_p >= 0
+    and n in the box normal cone, as found by column generation (see the
+    module docstring); fw_gap is its final pricing gap and iterations its
+    number of pricing rounds.  kappa = sum_p eta_p, weights = eta_p / kappa
+    on the levels with eta_p > 0 (none unless kappa > tol), and nu pairs
+    each level with (kappa / p) * weight.  c_gap = |kappa * sum_p
+    weights_p * rho_p| is the complementarity term that matches the
+    residual's cone term, with rho_p = lorenz(Y, p) - lorenz(G(x_hat), p).
+
     Returns the best residual found; never raises on a failed search.  The
-    certificate is accepted iff residual <= tol and the complementarity gap
-    <= tol.
+    certificate is accepted iff residual <= tol and c_gap <= tol.
     """
     lo, hi = problem.block_bounds()
     flat = x_hat.vectors.ravel()
@@ -656,65 +634,43 @@ def certify(
     ):
         raise DomainError("certification point must lie inside the box")
     geom = _ResidualGeometry(problem, x_hat, act_tol)
-    # Scale the cone cap from a first plain vertex; enlarge on saturation.
-    g0 = geom.objective_vertex(np.zeros(geom.D))[0]
-    scale = float(np.linalg.norm(g0))
-    d_norms = [
-        float(np.linalg.norm(geom.constraint_vertex(p, np.zeros(geom.D))[0]))
-        for p in geom.active_levels
-    ]
-    d_scale = min((d for d in d_norms if d > 1e-12), default=0.0)
-    kappa_cap = 8.0 * (1.0 + scale / d_scale) if d_scale > 0.0 else 1.0
-    stop_gap = tol * tol / 4.0
-    for _ in range(6):
-        y, verts, lam, gap, iters = _fw_residual(geom, kappa_cap, stop_gap, max_iters)
-        eta = {}
-        for w, v in zip(lam, verts):
-            if v.cone_level is not None and w > 0.0:
-                eta[v.cone_level] = eta.get(v.cone_level, 0.0) + w * kappa_cap
-        kappa = float(_sum_ascending(eta.values())) if eta else 0.0
-        if kappa <= 0.9 * kappa_cap or not geom.active_levels:
-            break
-        kappa_cap *= 8.0
-    residual = float(np.linalg.norm(geom.reduce(y)))
+    M, w, columns, gap, iters = _column_generation(geom, tol * tol / 4.0, max_iters)
+    residual = float(np.linalg.norm(M @ w))
+    k = len(geom.normals)
+    normal_part = M[:, :k] @ w[:k]
+    weighted = list(zip(w[k:], columns))
 
     # Factor the mixture into per-polytope identifier/selector pairs.
     obj_zeta, obj_sel = _aggregate_products(
-        lam, [v.obj_zeta for v in verts], [v.obj_rows for v in verts]
+        [(wj, zeta, rows) for wj, (level, zeta, rows) in weighted if level is None]
     )
+    eta: dict[float, float] = {}
+    for wj, (level, _, _) in weighted:
+        if level is not None and wj > 0.0:
+            eta[level] = eta.get(level, 0.0) + float(wj)
+    kappa = _sum_ascending(eta.values())
     support: list[float] = []
     weights: list[float] = []
     cons_zetas: list[np.ndarray] = []
     cons_sels: list[np.ndarray] = []
     if kappa > tol:
         for p in sorted(eta):
-            mass = float(eta[p])
-            support.append(float(p))
+            mass = eta[p]
+            support.append(p)
             weights.append(mass / kappa)
-            members = [
-                (w * kappa_cap / mass, v)
-                for w, v in zip(lam, verts)
-                if v.cone_level == p and w > 0.0
-            ]
             z, s = _aggregate_products(
-                np.array([m[0] for m in members]),
-                [m[1].cone_zeta for m in members],
-                [m[1].cone_rows for m in members],
+                [
+                    (wj / mass, zeta, rows)
+                    for wj, (level, zeta, rows) in weighted
+                    if level == p and wj > 0.0
+                ]
             )
             cons_zetas.append(z)
             cons_sels.append(s)
-    # Complementarity over the reported support.
-    Y = problem.constraint.benchmark
-    if support:
-        gap_terms = [
-            w * (avar_lower(geom.Zg, p) - avar_lower(Y, p))
-            for p, w in zip(support, weights)
-        ]
-        c_gap = abs(kappa * _sum_ascending(gap_terms))
-    else:
-        c_gap = 0.0
-    nu = tuple((p, (kappa / p) * w) for p, w in zip(support, weights))
-    normal_part = geom.reduce(y) - y
+    c_gap = abs(
+        kappa * _sum_ascending(wt * geom.active_rho[p] for p, wt in zip(support, weights))
+    )
+    nu = tuple((p, (kappa / p) * wt) for p, wt in zip(support, weights))
     accepted = residual <= tol and c_gap <= tol
     return Certificate(
         kappa=kappa,

@@ -228,16 +228,18 @@ class TestLagrangian:
             lagrangian_value(prob, deterministic(1.0), -0.1, mu)
 
     def test_certified_point_minimizes_lagrangian(self):
-        prob = forcing_problem()
-        bf = brute_force_optimum(prob, grid_resolution=1e-3)
-        cert = certify(prob, bf.x)
-        assert cert.accepted and cert.kappa > 0.0
-        mu = SpectralMeasure(cert.levels, cert.weights, Orientation.LOWER)
-        base = lagrangian_value(prob, bf.x, cert.kappa, mu)
-        rng = np.random.default_rng(100)
-        for _ in range(1000):
-            y = deterministic(rng.uniform(0.0, 3.0))
-            assert lagrangian_value(prob, y, cert.kappa, mu) >= base - 1e-6
+        # the off-grid problem binds at level 2/3, where weighting the level
+        # by 1/p would give the wrong Lagrangian
+        for prob in (forcing_problem(), off_grid_problem()):
+            bf = brute_force_optimum(prob, grid_resolution=1e-3)
+            cert = certify(prob, bf.x)
+            assert cert.accepted and cert.kappa > 0.0
+            mu = SpectralMeasure(cert.levels, cert.weights, Orientation.LOWER)
+            base = lagrangian_value(prob, bf.x, cert.kappa, mu)
+            rng = np.random.default_rng(100)
+            for _ in range(1000):
+                y = deterministic(rng.uniform(prob.box_lower[0], prob.box_upper[0]))
+                assert lagrangian_value(prob, y, cert.kappa, mu) >= base - 1e-6
 
 
 class TestNuFromMu:
@@ -363,6 +365,18 @@ class TestShippedInstances:
         cert = certify(prob, bf.x)
         assert cert.accepted
         assert bf.value >= composite_value(prob.risk, prob.objective, bf.x) - 1e-4
+
+    def test_certify_stops_once_no_column_improves(self):
+        # two dominance levels and the x2 lower bound are active at the
+        # optimum; the exact master reaches it in a few pricing rounds
+        loaded = load("i06_portfolio")
+        prob = loaded.spec
+        x = prob.decision(np.asarray(loaded.meta["x_hat"], dtype=float).reshape(1, -1))
+        cert = certify(prob, x)
+        assert cert.accepted
+        assert cert.iterations <= 3
+        assert cert.residual <= 1e-12
+        assert certify(prob, x, max_iters=1).iterations == 1
 
     def test_partitioned_instance_roundtrip(self):
         loaded = load("i05_block_medians")

@@ -33,6 +33,7 @@ from .integrands import (
     evaluate,
 )
 from .quantiles import (
+    _lorenz_at,
     cdf,
     integrated_cdf,
     lorenz,
@@ -500,7 +501,7 @@ def _cmd_dominance(args, loaded: LoadedProblem) -> tuple[int, dict]:
     atoms = np.unique(np.concatenate([X.values, Y.values]))
     fo_margin = min(cdf(Y, float(a)) - cdf(X, float(a)) for a in atoms)
     bps = np.unique(np.concatenate([lorenz_breakpoints(X), lorenz_breakpoints(Y)]))
-    so_margin = min(lorenz(X, float(p)) - lorenz(Y, float(p)) for p in bps)
+    so_margin = min((_lorenz_at(X, bps) - _lorenz_at(Y, bps)).tolist())
     results = {
         "first_order": dominates_first_order(X, Y),
         "second_order": dominates_second_order(X, Y),

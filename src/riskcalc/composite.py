@@ -113,19 +113,25 @@ def composite_directional(
 def _conditional_blocks(
     space, partition: InfoPartition | None, weights: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Per block B: (1/P(B)) sum_{k in B} pi_k * weights_k * rows_k."""
+    """Per block B: (1/P(B)) sum_{k in B} pi_k * weights_k * rows_k.
+
+    The sum runs in scenario order, as a running sum (the last row of a
+    cumulative sum), so its bits do not depend on how numpy would pair the
+    terms.
+    """
+    terms = (space.probs * weights)[:, None] * rows
     if partition is None:
-        acc = np.zeros(rows.shape[1])
-        for k in range(space.size):
-            acc += space.probs[k] * weights[k] * rows[k]
-        return acc.reshape(1, -1)
+        return _running_sum(terms).reshape(1, -1)
     out = np.zeros((partition.num_blocks, rows.shape[1]))
     for j, b in enumerate(partition.blocks):
-        acc = np.zeros(rows.shape[1])
-        for k in b:
-            acc += space.probs[k] * weights[k] * rows[k]
-        out[j] = acc / partition.block_probs[j]
+        out[j] = _running_sum(terms[list(b)]) / partition.block_probs[j]
     return out
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """0 + terms[0] + terms[1] + ..., added one row at a time.  Adding the
+    zero last gives the same bits: it only turns a -0.0 sum into 0.0."""
+    return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
 def _check_measurable_structure(x: DecisionPoint, partition: InfoPartition | None):

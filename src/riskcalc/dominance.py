@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, InvariantViolation, StructuralError
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate, subgradient_selector
-from .quantiles import lorenz, lorenz_breakpoints
+from .quantiles import _lorenz_at, sorted_view
 from .risk import Orientation, avar_identifier
 from .scenario import InfoPartition, RandomVariable
 
@@ -84,17 +84,16 @@ class DominanceConstraint:
         return np.unique(np.concatenate([self.grid, self._breakpoints_inside(self.benchmark)]))
 
     def _breakpoints_inside(self, Z: RandomVariable) -> np.ndarray:
-        bp = lorenz_breakpoints(Z)
-        return bp[(bp >= self.alpha) & (bp <= self.beta)]
+        # Repeats are left in: the caller's one np.unique merges them.
+        cp = sorted_view(Z).cum_probs
+        return cp[(cp >= self.alpha) & (cp <= self.beta)]
 
     def rho(self, Z: RandomVariable, levels=None) -> tuple[np.ndarray, np.ndarray]:
         """(levels, lorenz(Y, p) - lorenz(Z, p) at each level p); ``levels``
         defaults to ``augmented_levels(Z)``, where Z is feasible iff all <= 0."""
         if levels is None:
             levels = self.augmented_levels(Z)
-        Y = self.benchmark
-        rho = np.array([lorenz(Y, float(p)) - lorenz(Z, float(p)) for p in levels])
-        return levels, rho
+        return levels, _lorenz_at(self.benchmark, levels) - _lorenz_at(Z, levels)
 
 
 # Dominance booleans run in exact rational arithmetic.  Every stored float is
@@ -232,7 +231,8 @@ def in_B(X: RandomVariable, Y: RandomVariable, C: DominanceConstraint) -> bool:
     lorenz(X, p) >= lorenz(Y, p) at every level of
     ``C.augmented_levels(X, Y)``, which decides the whole interval because
     both sides are linear between those levels."""
-    return all(lorenz(X, float(p)) >= lorenz(Y, float(p)) for p in C.augmented_levels(X, Y))
+    levels = C.augmented_levels(X, Y)
+    return bool(np.all(_lorenz_at(X, levels) >= _lorenz_at(Y, levels)))
 
 
 def uniform_dominance_margin(

@@ -24,9 +24,11 @@ from .scenario import RandomVariable, _sum_ascending
 class SortedScenarioView:
     """Scenarios of a random variable in nondecreasing value order.
 
-    ``order`` is a stable permutation (ties keep ascending scenario index),
-    ``cum_probs[j]`` is the probability mass of the first j+1 sorted atoms,
-    with the last entry clamped to exactly 1.
+    ``order`` is a stable permutation (ties keep ascending scenario index).
+    ``prefix_mass[j]`` and ``prefix_weighted[j]`` are the probability mass
+    and the sum of p_(i) * z_(i) over the first j sorted atoms (N + 1 entries
+    each, 0 at j = 0); the total mass is clamped to exactly 1, and
+    ``cum_probs`` is ``prefix_mass[1:]``.
     """
 
     rv: RandomVariable
@@ -50,16 +52,19 @@ class SortedScenarioView:
         return p
 
     @cached_property
-    def cum_probs(self) -> np.ndarray:
-        c = np.cumsum(self.sorted_probs)
+    def prefix_mass(self) -> np.ndarray:
+        c = np.concatenate(([0.0], np.cumsum(self.sorted_probs)))
         c[-1] = 1.0
         c.flags.writeable = False
         return c
 
     @cached_property
+    def cum_probs(self) -> np.ndarray:
+        return self.prefix_mass[1:]
+
+    @cached_property
     def prefix_weighted(self) -> np.ndarray:
-        """Cumulative sums of p_(j) * z_(j) over the sorted atoms."""
-        s = np.cumsum(self.sorted_probs * self.sorted_values)
+        s = np.concatenate(([0.0], np.cumsum(self.sorted_probs * self.sorted_values)))
         s.flags.writeable = False
         return s
 
@@ -141,15 +146,19 @@ def lorenz(Z: RandomVariable, p: float) -> float:
         return 0.0
     view = sorted_view(Z)
     # Full atoms strictly below p, then the partial atom containing p.
-    j = int(np.searchsorted(view.cum_probs, p, side="left"))
-    if j >= view.cum_probs.size:
-        j = view.cum_probs.size - 1
-    total = 0.0
-    if j > 0:
-        total = float(view.prefix_weighted[j - 1])
-    lower = float(view.cum_probs[j - 1]) if j > 0 else 0.0
-    total += (p - lower) * float(view.sorted_values[j])
-    return total
+    j = min(int(np.searchsorted(view.cum_probs, p, side="left")), view.cum_probs.size - 1)
+    lower = float(view.prefix_mass[j])
+    return float(view.prefix_weighted[j]) + (p - lower) * float(view.sorted_values[j])
+
+
+def _lorenz_at(Z: RandomVariable, levels) -> np.ndarray:
+    """lorenz(Z, p) at each level of a 1-D array inside [0, 1], bit-equal to
+    the scalar route: the full atoms below p from ``prefix_weighted``, plus
+    the partial atom containing p.  Memory is O(levels + N)."""
+    p = np.asarray(levels, dtype=float)
+    view = sorted_view(Z)
+    j = np.minimum(np.searchsorted(view.cum_probs, p, side="left"), view.cum_probs.size - 1)
+    return view.prefix_weighted[j] + (p - view.prefix_mass[j]) * view.sorted_values[j]
 
 
 def lorenz_breakpoints(Z: RandomVariable) -> np.ndarray:

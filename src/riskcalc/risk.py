@@ -9,7 +9,10 @@ dominance).  The two are linked by avar_upper(-Z, p) = avar_lower(Z, p).
 Identifiers are the exact maximizers/minimizers of the dual representation:
 densities 0 <= zeta <= 1/p with E[zeta] = 1 satisfying the tail value
 equation.  They are constructed greedily on the sorted scenarios, with ties
-broken by ascending scenario index, so every identifier is reproducible.
+broken by ascending scenario index, so every identifier is reproducible: one
+``np.lexsort`` orders the scenarios (tail value, then descending tilt, then
+index), and one sequential subtraction of the sorted probabilities from p
+gives the mass each atom takes.
 """
 
 from __future__ import annotations
@@ -95,31 +98,27 @@ def _greedy_identifier(
 ) -> np.ndarray:
     """Fill 1/p density mass over the relevant tail of Z.
 
-    Sort key: tail value first (ascending Z for LOWER, descending for UPPER),
-    then descending tilt (so the result maximizes E[zeta * tilt] over the
-    polytope face), then ascending scenario index.
+    Sort order: tail value first (ascending Z for LOWER, descending for
+    UPPER), then descending tilt (so the result maximizes E[zeta * tilt] over
+    the polytope face), then ascending scenario index.  The mass still to
+    place before each sorted atom is p minus the atoms before it, subtracted
+    one at a time; each atom takes min(its probability, that mass), none
+    below zero, and its density is 1/p times the share of its probability it
+    takes.
     """
     n = Z.space.size
-    probs = Z.space.probs
     if p == 1.0:
         # Full-mass level: the box pins zeta to the constant density.
         return np.ones(n)
-    if tilt is None:
-        tilt = np.zeros(n)
     primary = Z.values if orientation is Orientation.LOWER else -Z.values
-    order = sorted(range(n), key=lambda k: (primary[k], -tilt[k], k))
-    cap = 1.0 / p
-    zeta = np.zeros(n)
-    remaining = p
-    for k in order:
-        if remaining <= 0.0:
-            break
-        take = min(probs[k], remaining)
-        zeta[k] = cap * (take / probs[k])
-        remaining -= take
-    # remaining can only be left over through rounding; the mean is repaired
+    order = np.lexsort((primary,) if tilt is None else (-tilt, primary))
+    q = Z.space.probs[order]
+    remaining = np.subtract.accumulate(np.concatenate(([p], q[:-1])))
+    zeta = np.empty(n)
+    zeta[order] = (1.0 / p) * (np.minimum(np.maximum(remaining, 0.0), q) / q)
+    # Mass can only be left over through rounding; the mean is repaired
     # against the exact target below.
-    mean = _sum_ascending(probs * zeta)
+    mean = _sum_ascending(Z.space.probs * zeta)
     if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
         zeta /= mean
     return zeta

@@ -24,6 +24,11 @@ cone, by column generation over the exact sorting/active-piece LMOs.
     polytope, with reduced cost <y, v> - ||y||^2 (objective) or <y, d>
     (conic).  The loop stops when no priced column gains more than tol^2/4,
     when every gaining column is present already, or after max_iters rounds.
+  - Witness: a Certificate holds the multipliers (kappa, levels, weights and
+    nu), the residual, c_gap, the box normal-cone part of the residual
+    vector and the search's stop data, all O(D + levels); it keeps no
+    per-scenario array, so the columns' identifiers and selectors are
+    dropped once their stacked vectors are formed.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .composite import _conditional_blocks, composite_subgradient, composite_val
 from .dominance import DominanceConstraint, constraint_subgradient
 from .errors import ConfigurationError, DomainError, StructuralError
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
-from .quantiles import lorenz, lorenz_breakpoints
+from .quantiles import _lorenz_at, lorenz, lorenz_breakpoints
 from .risk import (
     Orientation,
     SpectralMeasure,
@@ -231,7 +236,9 @@ def _chunk_lorenz(values: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray
     """lorenz(Z, p) for a chunk of variables given as sorted rows.
 
     ``values``: (rows, N) sorted nondecreasing; probs already permuted
-    accordingly per row.
+    accordingly per row.  The oracle keeps this Lorenz evaluation of its
+    own on purpose, apart from ``quantiles``, so that it stays an
+    independent reference for what solve and certify compute.
     """
     cums = np.cumsum(probs, axis=1)
     cums[:, -1] = 1.0
@@ -278,9 +285,9 @@ def brute_force_optimum(
     Y = problem.constraint.benchmark
     ybp = lorenz_breakpoints(Y)
     y_xs = np.concatenate([[0.0], ybp])
-    y_ys = np.array([0.0] + [lorenz(Y, float(p)) for p in ybp])
+    y_ys = np.concatenate([[0.0], _lorenz_at(Y, ybp)])
     fixed_levels = problem.constraint.augmented_levels()
-    y_at_fixed = np.array([lorenz(Y, float(p)) for p in fixed_levels])
+    y_at_fixed = _lorenz_at(Y, fixed_levels)
     alpha, beta = problem.constraint.alpha, problem.constraint.beta
 
     best_val = np.inf
@@ -394,10 +401,6 @@ class Certificate:
     c_gap: float
     nu: tuple[tuple[float, float], ...]
     accepted: bool
-    objective_identifier: np.ndarray
-    objective_selector: np.ndarray
-    constraint_identifiers: tuple[np.ndarray, ...]
-    constraint_selectors: tuple[np.ndarray, ...]
     normal_part: np.ndarray
     fw_gap: float
     iterations: int
@@ -450,24 +453,18 @@ class _ResidualGeometry:
         _, rows, rates = integrand._select(self.x, minus_c)
         return rows, rates / self.block_prob
 
-    def objective_vertex(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Minimize <g, c> over the composite subdifferential polytope.
-
-        Returns (stacked vector, zeta, selector rows).
-        """
+    def objective_vertex(self, c: np.ndarray) -> np.ndarray:
+        """Minimize <g, c> over the composite subdifferential polytope; the
+        minimizer in stacked coordinates."""
         rows, tilt = self._active_choice(self.problem.objective, c)
         zeta = spectral_identifier_lmo(self.Zf, self.problem.risk, tilt)
-        blocks = _conditional_blocks(self.space, self.partition, zeta, rows)
-        return blocks.ravel(), zeta, rows
+        return _conditional_blocks(self.space, self.partition, zeta, rows).ravel()
 
-    def constraint_vertex(
-        self, p: float, c: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def constraint_vertex(self, p: float, c: np.ndarray) -> np.ndarray:
         """Minimize <d, c> over the level-p constraint subgradient polytope."""
         rows, tilt = self._active_choice(self.problem.constraint_integrand, c)
         zeta = avar_identifier_lmo(self.Zg, p, Orientation.LOWER, -tilt).zeta
-        blocks = _conditional_blocks(self.space, self.partition, p * zeta, rows)
-        return -blocks.ravel(), zeta, rows
+        return -_conditional_blocks(self.space, self.partition, p * zeta, rows).ravel()
 
 
 def _simplex_least_squares(M: np.ndarray, simplex: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -537,36 +534,36 @@ def _column_generation(geom: _ResidualGeometry, stop_gap: float, max_iters: int)
     """Distance from 0 to (objective polytope) + (constraint cones) + (box
     normal cone) by column generation over the exact LMOs.
 
-    Returns (M, w, columns, gap, rounds): the column matrix, whose first
+    Returns (M, w, levels, gap, rounds): the column matrix, whose first
     len(geom.normals) columns are the box normal-cone generators, the master
-    weights, (level, zeta, rows) for each later column (level None for an
-    objective vertex), the last pricing gap and the number of pricing rounds.
+    weights, the level of each later column (None for an objective vertex),
+    the last pricing gap and the number of pricing rounds.
     """
     vecs = list(geom.normals)
     simplex = [False] * len(vecs)
-    columns: list[tuple[float | None, np.ndarray, np.ndarray]] = []
+    levels: list[float | None] = []
     keys: set[tuple[float | None, bytes]] = set()
 
-    def add(level, vec, zeta, rows):
+    def add(level, vec):
         vecs.append(vec)
         simplex.append(level is None)
-        columns.append((level, zeta, rows))
+        levels.append(level)
         keys.add((level, vec.tobytes()))
 
-    add(None, *geom.objective_vertex(np.zeros(geom.D)))
+    add(None, geom.objective_vertex(np.zeros(geom.D)))
     M = np.column_stack(vecs)
     w = np.zeros(len(vecs))
     w[-1] = 1.0
     w = _nearest_point(M, np.array(simplex), w, stop_gap)
-    gap, rounds = np.inf, 0
+    gap = np.inf
     for rounds in range(1, max_iters + 1):
         y = M @ w
-        priced = [(None, *geom.objective_vertex(y))]
-        priced += [(p, *geom.constraint_vertex(p, y)) for p in geom.active_rho]
+        priced = [(None, geom.objective_vertex(y))]
+        priced += [(p, geom.constraint_vertex(p, y)) for p in geom.active_rho]
         # Gain of a column: minus its reduced cost at the master's optimum.
         gains = [
             (float(y @ y) if level is None else 0.0) - float(y @ vec)
-            for level, vec, _, _ in priced
+            for level, vec in priced
         ]
         gap = max(gains)
         new = [
@@ -582,26 +579,7 @@ def _column_generation(geom: _ResidualGeometry, stop_gap: float, max_iters: int)
         w = _nearest_point(
             M, np.array(simplex), np.concatenate([w, np.zeros(len(new))]), stop_gap
         )
-    return M, w, columns, gap, rounds
-
-
-def _aggregate_products(
-    members: list[tuple[float, np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a mixture sum_j w_j zeta_j (x) s_j, given as (w_j, zeta_j, s_j)
-    triples, into one identifier and one blended selector (valid by
-    scenario-wise generalized convexity)."""
-    first_rows = members[0][2]
-    zeta = np.zeros_like(members[0][1])
-    prod = np.zeros_like(first_rows)
-    for w, z, r in members:
-        zeta += w * z
-        prod += w * z[:, None] * r
-    sel = np.zeros_like(prod)
-    nonzero = zeta > 0.0
-    sel[nonzero] = prod[nonzero] / zeta[nonzero, None]
-    sel[~nonzero] = first_rows[~nonzero]
-    return zeta, sel
+    return M, w, levels, gap, rounds
 
 
 def certify(
@@ -624,7 +602,8 @@ def certify(
     weights_p * rho_p| is the complementarity term that matches the
     residual's cone term, with rho_p = lorenz(Y, p) - lorenz(G(x_hat), p).
 
-    Returns the best residual found; never raises on a failed search.  The
+    Returns the best residual found; never raises on a failed search, only
+    on a point outside the box or max_iters < 1 (DomainError).  The
     certificate is accepted iff residual <= tol and c_gap <= tol.
     """
     lo, hi = problem.block_bounds()
@@ -633,40 +612,20 @@ def certify(
         flat > hi.ravel() + BOUND_ACTIVITY_TOL
     ):
         raise DomainError("certification point must lie inside the box")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
     geom = _ResidualGeometry(problem, x_hat, act_tol)
-    M, w, columns, gap, iters = _column_generation(geom, tol * tol / 4.0, max_iters)
+    M, w, levels, gap, iters = _column_generation(geom, tol * tol / 4.0, max_iters)
     residual = float(np.linalg.norm(M @ w))
     k = len(geom.normals)
     normal_part = M[:, :k] @ w[:k]
-    weighted = list(zip(w[k:], columns))
-
-    # Factor the mixture into per-polytope identifier/selector pairs.
-    obj_zeta, obj_sel = _aggregate_products(
-        [(wj, zeta, rows) for wj, (level, zeta, rows) in weighted if level is None]
-    )
     eta: dict[float, float] = {}
-    for wj, (level, _, _) in weighted:
+    for wj, level in zip(w[k:], levels):
         if level is not None and wj > 0.0:
             eta[level] = eta.get(level, 0.0) + float(wj)
     kappa = _sum_ascending(eta.values())
-    support: list[float] = []
-    weights: list[float] = []
-    cons_zetas: list[np.ndarray] = []
-    cons_sels: list[np.ndarray] = []
-    if kappa > tol:
-        for p in sorted(eta):
-            mass = eta[p]
-            support.append(p)
-            weights.append(mass / kappa)
-            z, s = _aggregate_products(
-                [
-                    (wj / mass, zeta, rows)
-                    for wj, (level, zeta, rows) in weighted
-                    if level == p and wj > 0.0
-                ]
-            )
-            cons_zetas.append(z)
-            cons_sels.append(s)
+    support = sorted(eta) if kappa > tol else []
+    weights = [eta[p] / kappa for p in support]
     c_gap = abs(
         kappa * _sum_ascending(wt * geom.active_rho[p] for p, wt in zip(support, weights))
     )
@@ -680,10 +639,6 @@ def certify(
         c_gap=c_gap,
         nu=nu,
         accepted=accepted,
-        objective_identifier=obj_zeta,
-        objective_selector=obj_sel,
-        constraint_identifiers=tuple(cons_zetas),
-        constraint_selectors=tuple(cons_sels),
         normal_part=normal_part,
         fw_gap=gap,
         iterations=iters,

@@ -23,6 +23,7 @@ from riskcalc import (
     subgradient_selector,
     trivial_partition,
 )
+from riskcalc.composite import _conditional_blocks
 from tests.conftest import (
     abs_integrand,
     integrand,
@@ -359,3 +360,42 @@ class TestPairing:
         g = strassen_gradient(two_center(), deterministic(1.5))
         with pytest.raises(StructuralError):
             g.pair(point([1.0, 2.0]))
+
+
+def loop_blocks(space, partition, weights, rows):
+    """Reference: accumulate pi_k * weights_k * rows_k scenario by scenario."""
+    blocks = [range(space.size)] if partition is None else partition.blocks
+    probs = [1.0] if partition is None else partition.block_probs
+    out = np.zeros((len(blocks), rows.shape[1]))
+    for j, b in enumerate(blocks):
+        acc = np.zeros(rows.shape[1])
+        for k in b:
+            acc += space.probs[k] * weights[k] * rows[k]
+        out[j] = acc if partition is None else acc / probs[j]
+    return out
+
+
+class TestConditionalBlocksMatchLoop:
+    def test_random_blocks_bitwise(self):
+        rng = np.random.default_rng(91)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            space = random_space(rng, n)
+            # magnitudes far apart, so another summation order moves bits
+            weights = rng.uniform(0.0, 3.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+            rows = rng.standard_normal((n, int(rng.integers(1, 4))))
+            for partition in (None, random_partition(rng, space)):
+                got = _conditional_blocks(space, partition, weights, rows)
+                ref = loop_blocks(space, partition, weights, rows)
+                assert got.tobytes() == ref.tobytes()
+
+    def test_all_negative_zero_terms(self):
+        space = equiprobable(4)
+        weights = np.zeros(4)
+        rows = -np.ones((4, 2))
+        partition = InfoPartition(space, ((0, 2), (1, 3)))
+        for part in (None, partition):
+            got = _conditional_blocks(space, part, weights, rows)
+            ref = loop_blocks(space, part, weights, rows)
+            assert got.tobytes() == ref.tobytes()
+            assert not np.any(np.signbit(got))

@@ -21,6 +21,7 @@ from riskcalc import (
     expectation,
     in_B,
     lorenz,
+    lorenz_breakpoints,
     uniform_dominance_margin,
 )
 from tests.conftest import integrand, point, random_space, rv
@@ -146,6 +147,29 @@ class TestConstraintConstruction:
         assert np.isclose(levels, 2.0 / 3.0).any()
         assert levels[0] >= 0.5 and levels[-1] == 1.0
         assert np.all(np.diff(levels) > 0)
+
+    def test_augmented_levels_match_unique_of_breakpoints(self):
+        # the single merge returns the bits np.unique over the grid and every
+        # variable's in-range Lorenz breakpoints returns
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            space = random_space(rng, n)
+            Y = RandomVariable(space, rng.integers(-2, 3, size=n).astype(float))
+            alpha = float(rng.choice([0.0, 0.3, 0.5]))
+            grid = (0.5, 1.0) if alpha == 0.0 else (alpha, 0.8, 1.0)
+            C = DominanceConstraint(Y, alpha, 1.0, grid)
+            Zs = [RandomVariable(space, rng.standard_normal(n)) for _ in range(2)]
+
+            def inside(V):
+                bp = lorenz_breakpoints(V)
+                return bp[(bp >= C.alpha) & (bp <= C.beta)]
+
+            fixed = np.unique(np.concatenate([C.grid, inside(Y)]))
+            assert C.augmented_levels().tobytes() == fixed.tobytes()
+            for variables in ([Zs[0]], Zs):
+                expected = np.unique(np.concatenate([fixed, *map(inside, variables)]))
+                assert C.augmented_levels(*variables).tobytes() == expected.tobytes()
 
 
 class TestConstraintValues:

@@ -19,6 +19,7 @@ from riskcalc import (
     quantile,
     sorted_view,
 )
+from riskcalc.quantiles import _lorenz_at
 from tests.conftest import (
     oracle_cdf,
     oracle_integrated_cdf,
@@ -227,3 +228,23 @@ def test_lorenz_matches_oracle_hypothesis(values, p):
 def test_fenchel_duality_hypothesis(values, p):
     Z = rv(values)
     assert abs(lorenz(Z, p) - lorenz_conjugate(Z, p)) <= 1e-9
+
+
+# Values with ties and both signed zeros mixed into arbitrary floats.
+_atom_values = st.one_of(st.floats(-50, 50), st.sampled_from([-1.0, -0.0, 0.0, 2.5]))
+
+
+@given(
+    st.lists(st.tuples(_atom_values, st.floats(0.05, 1.0)), min_size=1, max_size=12),
+    st.lists(st.floats(0, 1), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_lorenz_at_matches_scalar_bitwise_hypothesis(atoms, levels):
+    values, weights = (np.array(col) for col in zip(*atoms))
+    Z = rv(values, weights / weights.sum())
+    cum = sorted_view(Z).cum_probs
+    # 0, 1, levels exactly at cum_probs entries, midpoints and free levels
+    mids = (np.concatenate([[0.0], cum[:-1]]) + cum) / 2
+    grid = np.concatenate([[0.0, 1.0], cum, mids, levels])
+    expected = np.array([lorenz(Z, float(p)) for p in grid])
+    assert _lorenz_at(Z, grid).tobytes() == expected.tobytes()

@@ -22,6 +22,8 @@ from riskcalc import (
     spectral_risk,
     SpectralMeasure,
 )
+from riskcalc.risk import IDENTIFIER_TOL, _greedy_identifier
+from riskcalc.scenario import _sum_ascending
 from tests.conftest import (
     oracle_avar_lower,
     oracle_avar_upper,
@@ -374,3 +376,68 @@ def test_avar_identifier_feasible_hypothesis(values, p):
         assert np.all(ident.zeta >= -1e-10)
         assert np.all(ident.zeta <= 1.0 / p + 1e-10)
         assert abs(float(np.dot(Z.space.probs, ident.zeta)) - 1.0) <= 1e-10
+
+
+def loop_identifier(Z, p, orientation, tilt):
+    """Reference greedy fill: sort with a key, then place mass atom by atom."""
+    n = Z.space.size
+    probs = Z.space.probs
+    if p == 1.0:
+        return np.ones(n)
+    if tilt is None:
+        tilt = np.zeros(n)
+    primary = Z.values if orientation is LO else -Z.values
+    order = sorted(range(n), key=lambda k: (primary[k], -tilt[k], k))
+    cap = 1.0 / p
+    zeta = np.zeros(n)
+    remaining = p
+    for k in order:
+        if remaining <= 0.0:
+            break
+        take = min(probs[k], remaining)
+        zeta[k] = cap * (take / probs[k])
+        remaining -= take
+    mean = _sum_ascending(probs * zeta)
+    if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
+        zeta /= mean
+    return zeta
+
+
+class TestGreedyMatchesLoop:
+    def assert_same(self, Z, p, orientation, tilt):
+        got = _greedy_identifier(Z, p, orientation, tilt)
+        assert got.tobytes() == loop_identifier(Z, p, orientation, tilt).tobytes()
+
+    def test_ties_in_value_and_tilt(self):
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            w = rng.uniform(0.1, 1.0, size=n)
+            Z = rv(rng.integers(-2, 3, size=n).astype(float), w / w.sum())
+            tilts = [None, rng.integers(-1, 2, size=n).astype(float), rng.uniform(-1, 1, n)]
+            for p in (float(rng.uniform(0.01, 1.0)), 0.25, 0.5, 1.0):
+                for orient in (UP, LO):
+                    for tilt in tilts:
+                        self.assert_same(Z, p, orient, tilt)
+
+    def test_level_at_cumulative_probability(self):
+        # p equal to the mass of the first atoms: the covering atom is full
+        Z = rv([3.0, 1.0, 2.0, 1.0])
+        for p in (0.25, 0.5, 0.75):
+            for orient in (UP, LO):
+                self.assert_same(Z, p, orient, None)
+                self.assert_same(Z, p, orient, np.array([0.0, -0.0, 1.0, 1.0]))
+
+    def test_rounding_leaves_mass(self):
+        # subtracting the three probabilities from the largest level below
+        # one leaves 5.6e-17: every atom is full and the mean is repaired
+        probs = np.array([0.27822579296637623, 0.28814276494919583, 0.43363144208442783])
+        Z = rv([1.0, 2.0, 3.0], probs)
+        p = float(np.nextafter(1.0, 0.0))
+        remaining = p
+        for q in probs:
+            assert q < remaining
+            remaining -= q
+        assert remaining > 0.0
+        for orient in (UP, LO):
+            self.assert_same(Z, p, orient, None)

@@ -378,6 +378,15 @@ class TestShippedInstances:
         assert cert.residual <= 1e-12
         assert certify(prob, x, max_iters=1).iterations == 1
 
+    def test_certify_needs_one_pricing_round(self):
+        # a bound below one would price nothing and reject i06's optimum
+        loaded = load("i06_portfolio")
+        prob = loaded.spec
+        x = prob.decision(np.asarray(loaded.meta["x_hat"], dtype=float).reshape(1, -1))
+        for bound in (0, -5):
+            with pytest.raises(DomainError):
+                certify(prob, x, max_iters=bound)
+
     def test_partitioned_instance_roundtrip(self):
         loaded = load("i05_block_medians")
         prob = loaded.spec

@@ -52,6 +52,7 @@ from .scenario import (
     InfoPartition,
     ProbSpace,
     RandomVariable,
+    _running_sum,
     _sum_ascending,
     equiprobable,
     expectation,
@@ -605,8 +606,8 @@ def _selftest_checks(seed: int) -> list[dict]:
             worst,
             float(max(0.0, np.max(z) - 1.0 / p)),
             float(max(0.0, -np.min(z))),
-            abs(_sum_ascending(sp.probs * z) - 1.0),
-            abs(_sum_ascending(sp.probs * z * Z.values) - lorenz(Z, p) / p),
+            abs(_running_sum(sp.probs * z) - 1.0),
+            abs(_running_sum(sp.probs * z * Z.values) - lorenz(Z, p) / p),
         )
     checks.append(
         {"name": "avar_identifier_feasibility", "passed": worst <= 1e-10, "worst": worst}

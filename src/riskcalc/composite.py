@@ -10,6 +10,14 @@ decision's information partition:
 With this block form the subgradient inequality holds in the probability-
 weighted pairing sum_B P(B) <g_B, h_B>, which collapses to the plain inner
 product for deterministic decisions.
+
+One routine, ``_ChainRule``, makes the one kernel call at x (and along a
+direction) that gives F(x), the selector and its rates; the caller takes
+the identifier at F(x) with the rates as tilt and ``blocks`` forms g_B.
+Callers: ``composite_subgradient``, ``dominance.constraint_subgradient``,
+``solve``'s two steps and certify's two oracles.  ``composite_subgradient``
+tilts by the rates (the weighted pairing above), certify by the rates over
+P(B) (the Euclidean pairing of stacked coordinates).
 """
 
 from __future__ import annotations
@@ -24,9 +32,7 @@ from .integrands import (
     DecisionPoint,
     MaxAffineIntegrand,
     SubgradientSelector,
-    directional_derivative,
     evaluate,
-    subgradient_selector,
 )
 from .risk import (
     Orientation,
@@ -39,6 +45,7 @@ from .scenario import (
     InfoPartition,
     RandomVariable,
     _readonly,
+    _running_sum,
     _sum_ascending,
 )
 
@@ -104,21 +111,16 @@ def composite_directional(
     sorting LMO.
     """
     _require_objective_pair(risk, F)
-    Z = evaluate(F, x)
-    rate = directional_derivative(F, x, h)
-    zeta = spectral_identifier_lmo(Z, risk, rate.values)
-    return _sum_ascending(Z.space.probs * zeta * rate.values)
+    values, _, rates = F._select(x, h)
+    zeta = spectral_identifier_lmo(RandomVariable(F.space, values), risk, rates)
+    return _running_sum(F.space.probs * zeta * rates)
 
 
 def _conditional_blocks(
     space, partition: InfoPartition | None, weights: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Per block B: (1/P(B)) sum_{k in B} pi_k * weights_k * rows_k.
-
-    The sum runs in scenario order, as a running sum (the last row of a
-    cumulative sum), so its bits do not depend on how numpy would pair the
-    terms.
-    """
+    """Per block B: (1/P(B)) sum_{k in B} pi_k * weights_k * rows_k, summed
+    in scenario order by ``_running_sum``."""
     terms = (space.probs * weights)[:, None] * rows
     if partition is None:
         return _running_sum(terms).reshape(1, -1)
@@ -128,30 +130,41 @@ def _conditional_blocks(
     return out
 
 
-def _running_sum(terms: np.ndarray) -> np.ndarray:
-    """0 + terms[0] + terms[1] + ..., added one row at a time.  Adding the
-    zero last gives the same bits: it only turns a -0.0 sum into 0.0."""
-    return np.cumsum(terms, axis=0)[-1] + 0.0
-
-
-def _check_measurable_structure(x: DecisionPoint, partition: InfoPartition | None):
-    """x must be measurable for the declared partition.
-
-    A deterministic x is measurable for any partition; a block-structured x
-    must carry exactly the declared partition.
-    """
+def _on_blocks(x: DecisionPoint, partition: InfoPartition | None) -> DecisionPoint:
+    """x with one row per block of ``partition``: a deterministic x is
+    repeated, a block-structured x must carry exactly that partition."""
     if x.partition is None:
-        return
+        if partition is None:
+            return x
+        return DecisionPoint(np.repeat(x.vectors, partition.num_blocks, axis=0), partition)
     if partition is None or x.partition != partition:
         raise StructuralError("decision is not measurable for the declared partition")
+    return x
 
 
-def _expand_decision(x: DecisionPoint, partition: InfoPartition | None) -> DecisionPoint:
-    if partition is None or x.partition is not None:
-        return x
-    return DecisionPoint(
-        np.repeat(x.vectors, partition.num_blocks, axis=0), partition
-    )
+class _ChainRule:
+    """F linearised at x by one kernel call: ``Z`` is F(x) and ``rows`` holds
+    per scenario the gradient of one active piece, the lowest-index one or,
+    with ``direction``, the one of extreme rate along it (``rates``, else
+    None).  x and direction are put on ``partition``'s blocks."""
+
+    def __init__(
+        self,
+        F: MaxAffineIntegrand,
+        x: DecisionPoint,
+        partition: InfoPartition | None = None,
+        direction: DecisionPoint | None = None,
+    ):
+        x = _on_blocks(x, partition)
+        if direction is not None:
+            direction = _on_blocks(direction, partition)
+        values, self.rows, self.rates = F._select(x, direction)
+        self.Z = RandomVariable(F.space, values)
+        self.partition = partition
+
+    def blocks(self, weights: np.ndarray) -> np.ndarray:
+        """E[weights * s | partition] in block rows, s the selector ``rows``."""
+        return _conditional_blocks(self.Z.space, self.partition, weights, self.rows)
 
 
 def composite_subgradient(
@@ -172,22 +185,15 @@ def composite_subgradient(
     a negative entry would break the monotonicity the chain rule relies on.
     """
     _require_objective_pair(risk, F)
-    _check_measurable_structure(x, partition)
-    x_exp = _expand_decision(x, partition)
-    Z = evaluate(F, x_exp)
+    rule = _ChainRule(F, x, partition, direction)
     if direction is None:
-        zeta = spectral_identifier(Z, risk)
-        sel = subgradient_selector(F, x_exp)
+        zeta = spectral_identifier(rule.Z, risk)
     else:
-        _check_measurable_structure(direction, partition)
-        d_exp = _expand_decision(direction, partition)
-        _, rows, rates = F._select(x_exp, d_exp)
-        zeta = spectral_identifier_lmo(Z, risk, rates)
-        sel = SubgradientSelector(F.space, rows)
+        zeta = spectral_identifier_lmo(rule.Z, risk, rule.rates)
     if np.any(zeta < 0.0):
         raise StructuralError("risk identifier has a negative entry")
-    blocks = _conditional_blocks(F.space, partition, zeta, sel.rows)
-    return CompositeGradient(blocks, partition, _readonly(zeta.copy()), sel)
+    sel = SubgradientSelector(F.space, rule.rows)
+    return CompositeGradient(rule.blocks(zeta), partition, _readonly(zeta.copy()), sel)
 
 
 def strassen_gradient(F: MaxAffineIntegrand, x: DecisionPoint) -> CompositeGradient:

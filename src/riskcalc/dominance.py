@@ -10,6 +10,10 @@ The interval constraint "rho_p <= 0 for all p in [alpha, beta]" is reduced to
 finitely many levels: both Lorenz functions are piecewise linear with
 breakpoints among the cumulative scenario probabilities, so a grid augmented
 with those breakpoints checks the continuum exactly.
+
+``constraint_subgradient`` is the chain rule (``composite._ChainRule``) with
+the lower AVaR identifier at level p scaled by p (``lorenz_supergradient``),
+negated: rho_p falls as G(x) rises.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InvariantViolation, StructuralError
-from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate, subgradient_selector
+from .composite import _ChainRule
+from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
 from .quantiles import _lorenz_at, sorted_view
-from .risk import Orientation, avar_identifier
+from .risk import lorenz_supergradient
 from .scenario import InfoPartition, RandomVariable
 
 
@@ -260,12 +265,5 @@ def constraint_subgradient(
     selector s of G at x:  per block, -E[p * zeta * s | info].
     """
     _require_concave(G)
-    from .composite import _check_measurable_structure, _conditional_blocks, _expand_decision
-
-    _check_measurable_structure(x, info)
-    x_exp = _expand_decision(x, info)
-    Z = evaluate(G, x_exp)
-    zeta = avar_identifier(Z, p, Orientation.LOWER).zeta
-    sel = subgradient_selector(G, x_exp)
-    blocks = _conditional_blocks(G.space, info, p * zeta, sel.rows)
-    return -blocks
+    rule = _ChainRule(G, x, info)
+    return -rule.blocks(lorenz_supergradient(rule.Z, p))

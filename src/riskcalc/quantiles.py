@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .scenario import RandomVariable, _sum_ascending
+from .scenario import RandomVariable, _running_sum
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def integrated_cdf(Z: RandomVariable, eta: float) -> float:
     eta = float(eta)
     if math.isnan(eta):
         raise DomainError("integrated_cdf argument must not be NaN")
-    return _sum_ascending(Z.space.probs * np.maximum(eta - Z.values, 0.0))
+    return _running_sum(Z.space.probs * np.maximum(eta - Z.values, 0.0))
 
 
 def lorenz(Z: RandomVariable, p: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, StructuralError
 from .quantiles import lorenz, sorted_view
-from .scenario import ProbSpace, RandomVariable, _sum_ascending, expectation
+from .scenario import ProbSpace, RandomVariable, _running_sum, _sum_ascending, expectation
 
 # Identifier feasibility is enforced to this absolute tolerance.
 IDENTIFIER_TOL = 1e-10
@@ -59,7 +59,7 @@ class RiskIdentifier:
         cap = 1.0 / self.level
         if np.any(z < -IDENTIFIER_TOL) or np.any(z > cap + IDENTIFIER_TOL):
             raise StructuralError("identifier density violates its box")
-        mean = _sum_ascending(self.space.probs * z)
+        mean = _running_sum(self.space.probs * z)
         if abs(mean - 1.0) > IDENTIFIER_TOL:
             raise StructuralError(f"identifier density has mean {mean!r}, not 1")
         z.flags.writeable = False
@@ -118,7 +118,7 @@ def _greedy_identifier(
     zeta[order] = (1.0 / p) * (np.minimum(np.maximum(remaining, 0.0), q) / q)
     # Mass can only be left over through rounding; the mean is repaired
     # against the exact target below.
-    mean = _sum_ascending(Z.space.probs * zeta)
+    mean = _running_sum(Z.space.probs * zeta)
     if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
         zeta /= mean
     return zeta

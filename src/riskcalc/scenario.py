@@ -25,11 +25,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _sum_ascending(values) -> float:
-    """Plain left-to-right accumulation in index order."""
+    """Plain left-to-right accumulation in index order (short iterables)."""
     total = 0.0
     for v in values:
         total += float(v)
     return total
+
+
+def _running_sum(terms: np.ndarray):
+    """0 + terms[0] + terms[1] + ... over the first axis (a float for a
+    vector): the last row of a cumulative sum, which numpy adds in order.
+    Adding the zero last gives the bits of ``_sum_ascending``: it only turns
+    a -0.0 sum into 0.0."""
+    total = np.cumsum(terms, axis=0)[-1] + 0.0
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +60,7 @@ class ProbSpace:
             raise DomainError("probabilities must be finite")
         if np.any(p <= 0.0):
             raise DomainError("probabilities must be strictly positive")
-        total = _sum_ascending(p)
+        total = _running_sum(p)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(
                 f"probabilities sum to {total!r}, off by more than {PROB_SUM_TOL}"
@@ -68,6 +77,9 @@ class ProbSpace:
         return self.probs.size
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            # Exact: the probabilities are finite, so each equals itself.
+            return True
         if not isinstance(other, ProbSpace):
             return NotImplemented
         return (
@@ -138,7 +150,7 @@ class InfoPartition:
         block_of.flags.writeable = False
         object.__setattr__(self, "_block_of", block_of)
         bp = np.array(
-            [_sum_ascending(self.space.probs[list(b)]) for b in blocks]
+            [_running_sum(self.space.probs[list(b)]) for b in blocks]
         )
         bp.flags.writeable = False
         object.__setattr__(self, "_block_probs", bp)
@@ -177,7 +189,7 @@ def singleton_partition(space: ProbSpace) -> InfoPartition:
 
 def expectation(Z: RandomVariable) -> float:
     """E[Z], accumulated in ascending scenario order."""
-    return _sum_ascending(Z.space.probs * Z.values)
+    return _running_sum(Z.space.probs * Z.values)
 
 
 def conditional_expectation(Z: RandomVariable, G: InfoPartition) -> RandomVariable:
@@ -194,7 +206,7 @@ def conditional_expectation(Z: RandomVariable, G: InfoPartition) -> RandomVariab
             out[idx] = block_vals[0]
             continue
         mass = G.block_probs[j]
-        out[idx] = _sum_ascending(Z.space.probs[idx] * block_vals) / mass
+        out[idx] = _running_sum(Z.space.probs[idx] * block_vals) / mass
     return RandomVariable(Z.space, out)
 
 

@@ -7,7 +7,8 @@ Lorenz breakpoints of Y and of G(x) inside [alpha, beta].
 
 solve: projected switching subgradient method (feasibility step at the most
 violated checked level, objective step otherwise).  No inner LP or QP is
-ever formed.
+ever formed.  Each iteration makes one kernel call for G (rho and the
+feasibility step) and, on objective steps, one for F (value and step).
 
 certify: measures the distance from 0 to  g + sum_p eta_p d_p + n  with g in
 the composite subdifferential polytope, d_p in the constraint subgradient
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import _conditional_blocks, composite_subgradient, composite_value
-from .dominance import DominanceConstraint, constraint_subgradient
+from .composite import _ChainRule, composite_value
+from .dominance import DominanceConstraint
 from .errors import ConfigurationError, DomainError, StructuralError
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
 from .quantiles import _lorenz_at, lorenz, lorenz_breakpoints
@@ -46,7 +47,10 @@ from .risk import (
     Orientation,
     SpectralMeasure,
     avar_identifier_lmo,
+    lorenz_supergradient,
+    spectral_identifier,
     spectral_identifier_lmo,
+    spectral_risk,
 )
 from .scenario import InfoPartition, ProbSpace, _sum_ascending
 
@@ -148,8 +152,11 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
 
     Returns the best iterate whose violation on the checked levels is at most
     tol_feas; if none exists, the least-violation iterate flagged infeasible.
+    Raises DomainError when opts.iters is below 1.
     """
     opts = opts or SolveOptions()
+    if opts.iters < 1:
+        raise DomainError(f"iters must be at least 1, got {opts.iters!r}")
     lo, hi = problem.block_bounds()
     gamma0 = opts.gamma0
     if gamma0 is None:
@@ -160,51 +167,34 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     best_obj = np.inf
     best_x = None
     least_viol = np.inf
-    least_viol_x = x.copy()
     trace: list[tuple[int, float]] = []
     for t in range(opts.iters):
         xp = problem.decision(x)
-        Zg = evaluate(problem.constraint_integrand, xp)
-        levels, rho = problem.constraint.rho(Zg)
+        g = _ChainRule(problem.constraint_integrand, xp, problem.partition)
+        levels, rho = problem.constraint.rho(g.Z)
         viol = float(np.max(rho))
         if viol < least_viol:
             least_viol = viol
             least_viol_x = x.copy()
         if viol <= opts.tol_feas:
-            obj = composite_value(problem.risk, problem.objective, xp)
+            f = _ChainRule(problem.objective, xp, problem.partition)
+            obj = spectral_risk(f.Z, problem.risk)
             if obj < best_obj:
-                best_obj = obj
+                best_obj, best_viol = obj, viol
                 best_x = x.copy()
                 trace.append((t, obj))
-            step = composite_subgradient(
-                problem.risk, problem.objective, xp, problem.partition
-            ).vectors
+            step = f.blocks(spectral_identifier(f.Z, problem.risk))
         else:
-            worst = float(levels[int(np.argmax(rho))])
-            step = constraint_subgradient(
-                problem.constraint_integrand, xp, worst, problem.partition
-            )
+            p = float(levels[int(np.argmax(rho))])
+            step = -g.blocks(lorenz_supergradient(g.Z, p))
         gamma = gamma0 / np.sqrt(t + 1.0)
         x = np.clip(x - gamma * step, lo, hi)
-    if best_x is None:
-        x_hat = problem.decision(least_viol_x)
-        return Solution(
-            x_hat,
-            composite_value(problem.risk, problem.objective, x_hat),
-            least_viol,
-            opts.iters,
-            False,
-            tuple(trace),
-        )
-    x_hat = problem.decision(best_x)
-    _, rho = problem.constraint.rho(evaluate(problem.constraint_integrand, x_hat))
+    feasible = best_x is not None
+    if not feasible:
+        best_x, best_viol = least_viol_x, least_viol
+        best_obj = composite_value(problem.risk, problem.objective, problem.decision(best_x))
     return Solution(
-        x_hat,
-        composite_value(problem.risk, problem.objective, x_hat),
-        float(np.max(rho)),
-        opts.iters,
-        True,
-        tuple(trace),
+        problem.decision(best_x), best_obj, best_viol, opts.iters, feasible, tuple(trace)
     )
 
 
@@ -415,20 +405,15 @@ class _ResidualGeometry:
     def __init__(self, problem: ProblemSpec, x_hat: DecisionPoint, act_tol: float):
         self.problem = problem
         self.x = x_hat
-        self.space = problem.space
         self.partition = problem.partition
-        self.n = problem.dim
-        self.B = problem.num_blocks
         self.D = problem.stacked_dim
-        self.Zf = evaluate(problem.objective, x_hat)
-        self.Zg = evaluate(problem.constraint_integrand, x_hat)
-        levels, rho = problem.constraint.rho(self.Zg)
+        levels, rho = problem.constraint.rho(evaluate(problem.constraint_integrand, x_hat))
         active = np.abs(rho) <= act_tol
         # Active level -> its Lorenz gap lorenz(Y, p) - lorenz(G(x), p).
         self.active_rho = {float(p): float(r) for p, r in zip(levels[active], rho[active])}
         # Per scenario, the probability of its block (1 when deterministic).
         if self.partition is None:
-            self.block_prob = np.ones(self.space.size)
+            self.block_prob = np.ones(problem.space.size)
         else:
             self.block_prob = self.partition.block_probs[self.partition.block_of]
         # Box normal-cone generators, one per row on stacked coordinates:
@@ -443,28 +428,23 @@ class _ResidualGeometry:
             ]
         )
 
-    def _active_choice(
-        self, integrand: MaxAffineIntegrand, c: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per scenario, the active piece of ``integrand`` at x that is extreme
-        along -c (largest rate for CONVEX, smallest for CONCAVE), as (selector
-        rows, tilt): the rates along -c divided by the block probability."""
-        minus_c = DecisionPoint(-c.reshape(self.B, self.n), self.x.partition)
-        _, rows, rates = integrand._select(self.x, minus_c)
-        return rows, rates / self.block_prob
-
     def objective_vertex(self, c: np.ndarray) -> np.ndarray:
         """Minimize <g, c> over the composite subdifferential polytope; the
         minimizer in stacked coordinates."""
-        rows, tilt = self._active_choice(self.problem.objective, c)
-        zeta = spectral_identifier_lmo(self.Zf, self.problem.risk, tilt)
-        return _conditional_blocks(self.space, self.partition, zeta, rows).ravel()
+        minus_c = DecisionPoint(-c.reshape(self.x.vectors.shape), self.x.partition)
+        rule = _ChainRule(self.problem.objective, self.x, self.partition, minus_c)
+        # Stacked coordinates pair blocks without P(B): tilt by rates / P(B).
+        tilt = rule.rates / self.block_prob
+        zeta = spectral_identifier_lmo(rule.Z, self.problem.risk, tilt)
+        return rule.blocks(zeta).ravel()
 
     def constraint_vertex(self, p: float, c: np.ndarray) -> np.ndarray:
         """Minimize <d, c> over the level-p constraint subgradient polytope."""
-        rows, tilt = self._active_choice(self.problem.constraint_integrand, c)
-        zeta = avar_identifier_lmo(self.Zg, p, Orientation.LOWER, -tilt).zeta
-        return -_conditional_blocks(self.space, self.partition, p * zeta, rows).ravel()
+        minus_c = DecisionPoint(-c.reshape(self.x.vectors.shape), self.x.partition)
+        rule = _ChainRule(self.problem.constraint_integrand, self.x, self.partition, minus_c)
+        tilt = rule.rates / self.block_prob
+        zeta = avar_identifier_lmo(rule.Z, p, Orientation.LOWER, -tilt).zeta
+        return -rule.blocks(p * zeta).ravel()
 
 
 def _simplex_least_squares(M: np.ndarray, simplex: np.ndarray, free: np.ndarray) -> np.ndarray:

@@ -230,6 +230,17 @@ class TestDiagnosticCodes:
         assert err == "E_INTERNAL: ValueError: boom\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iteration_budget_below_one_is_a_domain_error(self, command, iters, capsys):
+        # median.json has no meta.x_hat, so certify solves first
+        code, out, err = run(
+            [command, "--problem", instance_path("median"), "--iters", iters], capsys
+        )
+        assert code == 2
+        assert err.startswith("E_DOMAIN")
+        assert out == ""
+
 
 class TestCommands:
     def test_eval_staircase_lorenz(self, capsys):

@@ -16,6 +16,7 @@ from riskcalc import (
     singleton_partition,
     trivial_partition,
 )
+from riskcalc.scenario import _running_sum
 from tests.conftest import oracle_expectation, rv
 
 
@@ -185,3 +186,35 @@ def test_conditional_expectation_tower_hypothesis(values, seed):
     cond = conditional_expectation(Z, G)
     assert is_measurable(cond, G)
     assert abs(expectation(cond) - expectation(Z)) <= 1e-9 * (1 + abs(expectation(Z)))
+
+
+def loop_sum(values) -> float:
+    """Reference: 0.0 + v0 + v1 + ..., one Python float at a time."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+@given(
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["mixed", "zeros", "negative_zeros", "cancelling"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_running_sum_matches_loop_bitwise_hypothesis(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "negative_zeros":
+        values = np.full(n, -0.0)
+    elif kind == "zeros":
+        values = rng.choice([0.0, -0.0], size=n)
+    else:
+        # wide magnitudes force rounding; signed zeros sit among them
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+        values[rng.random(n) < 0.2] = -0.0
+        values[rng.random(n) < 0.1] = 0.0
+        if kind == "cancelling":
+            values = np.concatenate([values, -values[::-1]])
+    got = _running_sum(values)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == np.float64(loop_sum(values)).tobytes()

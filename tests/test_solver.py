@@ -6,6 +6,7 @@ from riskcalc import (
     Curvature,
     DominanceConstraint,
     DomainError,
+    MaxAffineIntegrand,
     Orientation,
     ProblemSpec,
     SolveOptions,
@@ -119,6 +120,12 @@ class TestSolve:
         ]
         assert values[0] >= values[1] - 1e-12
         assert values[1] >= values[2] - 1e-12
+
+    def test_iteration_budget_below_one_rejected(self):
+        # a budget below one evaluated nothing, yet reported the box centre
+        for iters in (0, -3):
+            with pytest.raises(DomainError):
+                solve(median_problem(), SolveOptions(iters=iters))
 
 
 class TestBruteForce:
@@ -395,6 +402,22 @@ class TestShippedInstances:
         assert sol.feasible
         bf = brute_force_optimum(prob, grid_resolution=1e-3)
         assert sol.objective_value <= bf.value + 1e-4
+
+    @pytest.mark.parametrize("name", ["median", "i05_block_medians"])
+    def test_one_kernel_call_per_integrand_and_iteration(self, name, monkeypatch):
+        # one G evaluation per iteration, one F evaluation per objective
+        # step, and at most the final evaluation at x_hat
+        calls = []
+        select = MaxAffineIntegrand._select
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return select(self, *args, **kwargs)
+
+        monkeypatch.setattr(MaxAffineIntegrand, "_select", counted)
+        iters = 300
+        solve(load(name).spec, SolveOptions(iters=iters))
+        assert len(calls) <= 2 * iters + 2
 
     def test_solution_trace_records_improvements(self):
         loaded = load("i01_median_kinks")

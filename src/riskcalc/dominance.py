@@ -105,7 +105,8 @@ class DominanceConstraint:
 # a rational number; renormalizing the probabilities inside Fraction makes an
 # equiprobable space exactly equiprobable again, so tie cases (shifted copies,
 # repeated lattice values) cannot be flipped by rounding and the two routes of
-# each test agree identically whenever the implementation is correct.
+# each test agree identically whenever the implementation is correct.  Each
+# route takes the merged points in ascending order, in one forward pass.
 
 
 def _exact_distribution(Z: RandomVariable) -> list[tuple[Fraction, Fraction]]:
@@ -117,33 +118,36 @@ def _exact_distribution(Z: RandomVariable) -> list[tuple[Fraction, Fraction]]:
     )
 
 
-def _exact_cdf(pairs, eta: Fraction) -> Fraction:
-    return sum((p for v, p in pairs if v <= eta), Fraction(0))
+def _exact_below(pairs, points) -> list[tuple[Fraction, Fraction]]:
+    """(P(Z <= eta), E[Z; Z <= eta]) at each eta of the ascending ``points``;
+    eta * P(Z <= eta) - E[Z; Z <= eta] is the integrated CDF E[(eta - Z)_+]."""
+    out, mass, moment, i = [], Fraction(0), Fraction(0), 0
+    for eta in points:
+        while i < len(pairs) and pairs[i][0] <= eta:
+            mass, moment, i = mass + pairs[i][1], moment + pairs[i][1] * pairs[i][0], i + 1
+        out.append((mass, moment))
+    return out
 
 
-def _exact_quantile(pairs, level: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v, p in pairs:
-        acc += p
-        if acc >= level:
-            return v
-    return pairs[-1][0]
+def _exact_quantiles(pairs, levels) -> list[Fraction]:
+    """Lower quantile at each ascending level (the largest value if no mass reaches it)."""
+    out, mass, i = [], pairs[0][1], 0
+    for level in levels:
+        while mass < level and i + 1 < len(pairs):
+            i, mass = i + 1, mass + pairs[i + 1][1]
+        out.append(pairs[i][0])
+    return out
 
 
-def _exact_integrated_cdf(pairs, eta: Fraction) -> Fraction:
-    return sum((p * (eta - v) for v, p in pairs if v <= eta), Fraction(0))
-
-
-def _exact_lorenz(pairs, level: Fraction) -> Fraction:
-    acc = Fraction(0)
-    mass = Fraction(0)
-    for v, p in pairs:
-        take = min(p, level - mass)
-        if take <= 0:
-            break
-        acc += take * v
-        mass += take
-    return acc
+def _exact_lorenzes(pairs, levels) -> list[Fraction]:
+    """Integral of the quantile over [0, level] at each ascending level."""
+    out, mass, moment, i = [], Fraction(0), Fraction(0), 0
+    for level in levels:
+        while i < len(pairs) and mass + pairs[i][1] <= level:
+            mass, moment, i = mass + pairs[i][1], moment + pairs[i][1] * pairs[i][0], i + 1
+        rest = level - mass
+        out.append(moment + rest * pairs[i][0] if rest > 0 and i < len(pairs) else moment)
+    return out
 
 
 def _merged_atoms(px, py) -> list[Fraction]:
@@ -168,11 +172,10 @@ def dominates_first_order(X: RandomVariable, Y: RandomVariable) -> bool:
     exact for step functions; they must agree.
     """
     px, py = _exact_distribution(X), _exact_distribution(Y)
-    direct = all(_exact_cdf(px, eta) <= _exact_cdf(py, eta) for eta in _merged_atoms(px, py))
-    inverse = all(
-        _exact_quantile(px, p) >= _exact_quantile(py, p)
-        for p in _merged_breakpoints(px, py)
-    )
+    atoms, levels = _merged_atoms(px, py), _merged_breakpoints(px, py)
+    below_x, below_y = _exact_below(px, atoms), _exact_below(py, atoms)
+    direct = all(hx <= hy for (hx, _), (hy, _) in zip(below_x, below_y))
+    inverse = all(a >= b for a, b in zip(_exact_quantiles(px, levels), _exact_quantiles(py, levels)))
     if direct != inverse:
         raise InvariantViolation(
             "first-order dominance routes disagree "
@@ -190,14 +193,13 @@ def dominates_second_order(X: RandomVariable, Y: RandomVariable) -> bool:
     The routes are conjugate-dual and must agree.
     """
     px, py = _exact_distribution(X), _exact_distribution(Y)
+    atoms, levels = _merged_atoms(px, py), _merged_breakpoints(px, py)
+    below_x, below_y = _exact_below(px, atoms), _exact_below(py, atoms)
     direct = all(
-        _exact_integrated_cdf(px, eta) <= _exact_integrated_cdf(py, eta)
-        for eta in _merged_atoms(px, py)
+        eta * hx - mx <= eta * hy - my
+        for eta, (hx, mx), (hy, my) in zip(atoms, below_x, below_y)
     )
-    inverse = all(
-        _exact_lorenz(px, p) >= _exact_lorenz(py, p)
-        for p in _merged_breakpoints(px, py)
-    )
+    inverse = all(a >= b for a, b in zip(_exact_lorenzes(px, levels), _exact_lorenzes(py, levels)))
     if direct != inverse:
         raise InvariantViolation(
             "second-order dominance routes disagree "

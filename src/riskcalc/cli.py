@@ -58,7 +58,15 @@ from .scenario import (
     expectation,
 )
 from .composite import composite_subgradient, composite_value
-from .solver import CERT_TOL, TOL_FEAS, ProblemSpec, SolveOptions, certify, solve
+from .solver import (
+    _OPTION_RULES,
+    CERT_TOL,
+    TOL_FEAS,
+    ProblemSpec,
+    SolveOptions,
+    certify,
+    solve,
+)
 
 PROB_FILE_SUM_TOL = 1e-12
 
@@ -328,21 +336,14 @@ def _parse_solver_options(doc: dict) -> SolveOptions:
     if "solver" not in doc:
         return SolveOptions()
     sec = _get_section(doc, "solver")
-    iters = sec.get("iters", SolveOptions.iters)
-    if isinstance(iters, bool) or not isinstance(iters, int) or iters <= 0:
-        _fail("E_TYPE", "solver.iters", "expected a positive integer")
+    for name, (valid, rule) in _OPTION_RULES.items():
+        if name in sec and not valid(sec[name]):
+            _fail("E_TYPE", f"solver.{name}", f"expected {rule}")
     gamma0 = sec.get("gamma0")
-    if gamma0 is not None and (
-        isinstance(gamma0, bool) or not isinstance(gamma0, (int, float)) or gamma0 <= 0
-    ):
-        _fail("E_TYPE", "solver.gamma0", "expected a positive number")
-    tol_feas = sec.get("tol_feas", SolveOptions.tol_feas)
-    if isinstance(tol_feas, bool) or not isinstance(tol_feas, (int, float)) or tol_feas < 0:
-        _fail("E_TYPE", "solver.tol_feas", "expected a nonnegative number")
     return SolveOptions(
-        iters=iters,
+        iters=sec.get("iters", SolveOptions.iters),
         gamma0=None if gamma0 is None else float(gamma0),
-        tol_feas=float(tol_feas),
+        tol_feas=float(sec.get("tol_feas", SolveOptions.tol_feas)),
     )
 
 

@@ -14,10 +14,11 @@ product for deterministic decisions.
 One routine, ``_ChainRule``, makes the one kernel call at x (and along a
 direction) that gives F(x), the selector and its rates; the caller takes
 the identifier at F(x) with the rates as tilt and ``blocks`` forms g_B.
-Callers: ``composite_subgradient``, ``dominance.constraint_subgradient``,
-``solve``'s two steps and certify's two oracles.  ``composite_subgradient``
-tilts by the rates (the weighted pairing above), certify by the rates over
-P(B) (the Euclidean pairing of stacked coordinates).
+Callers: ``composite_subgradient``, ``dominance.constraint_subgradient``
+and certify's two oracles.  ``composite_subgradient`` tilts by the rates
+(the weighted pairing above), certify by the rates over P(B) (the Euclidean
+pairing of stacked coordinates).  ``solve`` forms the same products from
+the kernel's arrays and ``_conditional_blocks`` directly.
 """
 
 from __future__ import annotations
@@ -120,13 +121,14 @@ def _conditional_blocks(
     space, partition: InfoPartition | None, weights: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Per block B: (1/P(B)) sum_{k in B} pi_k * weights_k * rows_k, summed
-    in scenario order by ``_running_sum``."""
+    in scenario order by ``_running_sum`` over the block's index array that
+    the partition built once."""
     terms = (space.probs * weights)[:, None] * rows
     if partition is None:
         return _running_sum(terms).reshape(1, -1)
     out = np.zeros((partition.num_blocks, rows.shape[1]))
-    for j, b in enumerate(partition.blocks):
-        out[j] = _running_sum(terms[list(b)]) / partition.block_probs[j]
+    for j, idx in enumerate(partition._block_index):
+        out[j] = _running_sum(terms[idx]) / partition.block_probs[j]
     return out
 
 

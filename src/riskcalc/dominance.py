@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InvariantViolation, StructuralError
 from .composite import _ChainRule
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
-from .quantiles import _lorenz_at, sorted_view
+from .quantiles import _lorenz_at, _lorenz_prefix, _Prefix, sorted_view
 from .risk import lorenz_supergradient
 from .scenario import InfoPartition, RandomVariable
 
@@ -80,25 +80,45 @@ class DominanceConstraint:
         needed because rho_p can peak inside a linear piece of Y.  With no
         variable, returns the fixed part, computed once per constraint.
         """
-        return np.unique(
-            np.concatenate([self._fixed_levels, *map(self._breakpoints_inside, variables)])
-        )
+        return self._levels_on(*(sorted_view(Z)._prefix for Z in variables))
+
+    def _levels_on(self, *prefixes: _Prefix) -> np.ndarray:
+        """``augmented_levels`` of the variables with these prefix arrays:
+        np.unique's sort and neighbour test, without its fixed cost."""
+        levels = np.concatenate([self._fixed_levels, *map(self._breakpoints_inside, prefixes)])
+        levels.sort()
+        keep = np.empty(levels.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(levels[1:], levels[:-1], out=keep[1:])
+        return levels[keep]
 
     @cached_property
     def _fixed_levels(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.grid, self._breakpoints_inside(self.benchmark)]))
+        Y = self._benchmark_prefix
+        return np.unique(np.concatenate([self.grid, self._breakpoints_inside(Y)]))
 
-    def _breakpoints_inside(self, Z: RandomVariable) -> np.ndarray:
-        # Repeats are left in: the caller's one np.unique merges them.
-        cp = sorted_view(Z).cum_probs
+    @cached_property
+    def _benchmark_prefix(self) -> _Prefix:
+        return sorted_view(self.benchmark)._prefix
+
+    def _breakpoints_inside(self, pre: _Prefix) -> np.ndarray:
+        # Repeats are left in: the caller's one sort and neighbour test
+        # merges them.
+        cp = pre.mass[1:]
         return cp[(cp >= self.alpha) & (cp <= self.beta)]
+
+    def _rho_on(self, pre: _Prefix, levels: np.ndarray) -> np.ndarray:
+        """lorenz(Y, p) - lorenz(Z, p) at each level, for the Z with these
+        prefix arrays."""
+        return _lorenz_prefix(self._benchmark_prefix, levels) - _lorenz_prefix(pre, levels)
 
     def rho(self, Z: RandomVariable, levels=None) -> tuple[np.ndarray, np.ndarray]:
         """(levels, lorenz(Y, p) - lorenz(Z, p) at each level p); ``levels``
         defaults to ``augmented_levels(Z)``, where Z is feasible iff all <= 0."""
+        pre = sorted_view(Z)._prefix
         if levels is None:
-            levels = self.augmented_levels(Z)
-        return levels, _lorenz_at(self.benchmark, levels) - _lorenz_at(Z, levels)
+            levels = self._levels_on(pre)
+        return levels, self._rho_on(pre, np.asarray(levels, dtype=float))
 
 
 # Dominance booleans run in exact rational arithmetic.  Every stored float is

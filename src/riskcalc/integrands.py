@@ -15,7 +15,10 @@ offset array, m being the largest piece count; a scenario with fewer pieces
 repeats its last one.  One kernel (``MaxAffineIntegrand._select``) evaluates
 every piece of every scenario in a single batched product and picks the
 active piece per scenario; evaluate, the directional derivative, the
-selector and the certifier's linear minimisation oracles all call it.
+selector and the certifier's linear minimisation oracles all call it.  It
+is the checked route to two unchecked array functions, ``_pieces`` (the
+batched product and the max/min) and ``_active_rows`` (the chosen piece),
+which ``solve`` calls directly on its block-row iterate.
 """
 
 from __future__ import annotations
@@ -153,54 +156,74 @@ class MaxAffineIntegrand:
         if x.partition is not None and x.partition.space != self.space:
             raise StructuralError("decision partition lives on a different space")
 
-    def _rates(self, x: DecisionPoint) -> np.ndarray:
-        """(N, m): <slopes[k, j], x_k> for every piece of every scenario.
+    def _rates(self, vectors: np.ndarray, block_of: np.ndarray | None) -> np.ndarray:
+        """(N, m): <slopes[k, j], x_k> for every piece of every scenario, x
+        given as block rows with ``block_of`` from its partition (None when
+        deterministic).
 
         Both forms run one matrix-vector product per scenario, so they give
         the same bits; the deterministic one skips the broadcast row matrix,
         which costs more than the product itself at a few scenarios.
         """
-        if x.partition is None:
-            return self.slopes @ x.vectors[0]
-        return np.matmul(self.slopes, x.scenario_matrix(self.space)[:, :, None])[:, :, 0]
+        if block_of is None:
+            return self.slopes @ vectors[0]
+        return np.matmul(self.slopes, vectors[block_of][:, :, None])[:, :, 0]
 
-    def _select(
-        self, x: DecisionPoint, direction: DecisionPoint | None = None, choose: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """(values, rows, rates): the one active-piece kernel.
+    def _pieces(
+        self, vectors: np.ndarray, block_of: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The array kernel, unchecked: (every piece value (N, m), the
+        scenario max (CONVEX) or min (CONCAVE)) at x given as block rows."""
+        vals = self._rates(vectors, block_of) + self.offsets
+        best = vals.max(axis=1) if self.curvature is Curvature.CONVEX else vals.min(axis=1)
+        return vals, best
 
-        ``values`` holds the scenario max (CONVEX) or min (CONCAVE) at x.
-        Unless ``choose`` is false, ``rows`` holds per scenario the gradient
-        of one active piece (within ACTIVITY_TOL of the max/min).  Without a
-        direction it is the lowest-index active piece and ``rates`` is None.
-        With one, it is the active piece of largest rate <slope, direction_k>
-        (smallest for CONCAVE), ties to the lowest index, and ``rates`` holds
-        that rate: the directional derivative.
+    def _active_rows(
+        self, vals: np.ndarray, best: np.ndarray, all_rates: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(rows, rates) from the kernel's piece values: per scenario the
+        gradient of one active piece (within ACTIVITY_TOL of the max/min).
+        Without ``all_rates`` it is the lowest-index active piece and
+        ``rates`` is None.  With the (N, m) rates of a direction, it is the
+        active piece of largest rate (smallest for CONCAVE), ties to the
+        lowest index, and ``rates`` holds that rate.
         """
-        self._check_decision(x)
-        if direction is not None and not x.same_structure(direction):
-            raise StructuralError("point and direction have different block structure")
-        vals = self._rates(x) + self.offsets
         convex = self.curvature is Curvature.CONVEX
-        best = vals.max(axis=1) if convex else vals.min(axis=1)
-        if not choose:
-            return best, None, None
         if convex:
             active = vals >= best[:, None] - ACTIVITY_TOL
         else:
             active = vals <= best[:, None] + ACTIVITY_TOL
         scenarios = np.arange(self.space.size)
-        if direction is None:
+        if all_rates is None:
             chosen = active.argmax(axis=1)
             rates = None
         else:
-            all_rates = self._rates(direction)
             if convex:
                 chosen = np.where(active, all_rates, -np.inf).argmax(axis=1)
             else:
                 chosen = np.where(active, all_rates, np.inf).argmin(axis=1)
             rates = all_rates[scenarios, chosen]
-        return best, self.slopes[scenarios, chosen], rates
+        return self.slopes[scenarios, chosen], rates
+
+    def _select(
+        self, x: DecisionPoint, direction: DecisionPoint | None = None, choose: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(values, rows, rates): the checked route to the kernel.
+
+        ``values`` holds the scenario max (CONVEX) or min (CONCAVE) at x.
+        Unless ``choose`` is false, ``rows`` and ``rates`` are those of
+        ``_active_rows``, along ``direction`` when one is given.
+        """
+        self._check_decision(x)
+        if direction is not None and not x.same_structure(direction):
+            raise StructuralError("point and direction have different block structure")
+        block_of = None if x.partition is None else x.partition.block_of
+        vals, best = self._pieces(x.vectors, block_of)
+        if not choose:
+            return best, None, None
+        all_rates = None if direction is None else self._rates(direction.vectors, block_of)
+        rows, rates = self._active_rows(vals, best, all_rates)
+        return best, rows, rates
 
 
 @dataclass(frozen=True, eq=False)

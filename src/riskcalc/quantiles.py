@@ -6,6 +6,12 @@ inverse, and the two second-order functions are the piecewise-linear integrals
 of those.  The Lorenz-type integral `lorenz` is the convex conjugate of
 `integrated_cdf`; `lorenz_conjugate` evaluates that conjugate directly so the
 pair can be cross-checked.
+
+One private routine, `_sort_prefix`, makes the stable sort and the prefix
+arrays, and one, `_lorenz_prefix`, evaluates the Lorenz function from them
+at an array of levels; the sorted view, `_lorenz_at`, the AVaRs, the
+dominance constraint's rho and `solve` all read these two.  The scalar
+`lorenz` reads the same arrays in Python floats.
 """
 
 from __future__ import annotations
@@ -13,11 +19,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .scenario import RandomVariable, _running_sum
+
+
+class _Prefix(NamedTuple):
+    """One stable sort of a variable's values (ties keep ascending scenario
+    index): the permutation, the sorted values and probabilities, and the
+    probability mass and the sum of p_(i) * z_(i) over the first j sorted
+    atoms (N + 1 entries each, 0 at j = 0; the total mass is clamped to
+    exactly 1)."""
+
+    order: np.ndarray
+    values: np.ndarray
+    probs: np.ndarray
+    mass: np.ndarray
+    weighted: np.ndarray
+
+
+def _sort_prefix(values: np.ndarray, probs: np.ndarray) -> _Prefix:
+    """The prefix arrays of the variable with these values and probabilities."""
+    order = values.argsort(kind="stable")
+    v = values[order]
+    q = probs[order]
+    mass = np.empty(v.size + 1)
+    weighted = np.empty(v.size + 1)
+    mass[0] = weighted[0] = 0.0
+    q.cumsum(out=mass[1:])
+    (q * v).cumsum(out=weighted[1:])
+    mass[-1] = 1.0
+    return _Prefix(order, v, q, mass, weighted)
+
+
+def _lorenz_prefix(pre: _Prefix, levels):
+    """The Lorenz function at levels inside [0, 1] (a scalar or an array)
+    from prefix arrays: the full atoms below p from ``weighted``, plus the
+    partial atom containing p.  Memory is O(levels + N)."""
+    j = np.minimum(pre.mass[1:].searchsorted(levels), pre.values.size - 1)
+    return pre.weighted[j] + (levels - pre.mass[j]) * pre.values[j]
 
 
 @dataclass(frozen=True)
@@ -28,35 +71,34 @@ class SortedScenarioView:
     ``prefix_mass[j]`` and ``prefix_weighted[j]`` are the probability mass
     and the sum of p_(i) * z_(i) over the first j sorted atoms (N + 1 entries
     each, 0 at j = 0); the total mass is clamped to exactly 1, and
-    ``cum_probs`` is ``prefix_mass[1:]``.
+    ``cum_probs`` is ``prefix_mass[1:]``.  All of them come from one
+    ``_sort_prefix`` call, made on first use.
     """
 
     rv: RandomVariable
 
     @cached_property
+    def _prefix(self) -> _Prefix:
+        pre = _sort_prefix(self.rv.values, self.rv.space.probs)
+        for a in pre:
+            a.flags.writeable = False
+        return pre
+
+    @cached_property
     def order(self) -> np.ndarray:
-        idx = np.argsort(self.rv.values, kind="stable")
-        idx.flags.writeable = False
-        return idx
+        return self._prefix.order
 
     @cached_property
     def sorted_values(self) -> np.ndarray:
-        v = self.rv.values[self.order]
-        v.flags.writeable = False
-        return v
+        return self._prefix.values
 
     @cached_property
     def sorted_probs(self) -> np.ndarray:
-        p = self.rv.space.probs[self.order]
-        p.flags.writeable = False
-        return p
+        return self._prefix.probs
 
     @cached_property
     def prefix_mass(self) -> np.ndarray:
-        c = np.concatenate(([0.0], np.cumsum(self.sorted_probs)))
-        c[-1] = 1.0
-        c.flags.writeable = False
-        return c
+        return self._prefix.mass
 
     @cached_property
     def cum_probs(self) -> np.ndarray:
@@ -64,9 +106,7 @@ class SortedScenarioView:
 
     @cached_property
     def prefix_weighted(self) -> np.ndarray:
-        s = np.concatenate(([0.0], np.cumsum(self.sorted_probs * self.sorted_values)))
-        s.flags.writeable = False
-        return s
+        return self._prefix.weighted
 
     @cached_property
     def distinct_values(self) -> np.ndarray:
@@ -145,7 +185,8 @@ def lorenz(Z: RandomVariable, p: float) -> float:
     if p == 0.0:
         return 0.0
     view = sorted_view(Z)
-    # Full atoms strictly below p, then the partial atom containing p.
+    # The formula of _lorenz_prefix in Python floats, which cost less than
+    # numpy scalars for a single level.
     j = min(int(np.searchsorted(view.cum_probs, p, side="left")), view.cum_probs.size - 1)
     lower = float(view.prefix_mass[j])
     return float(view.prefix_weighted[j]) + (p - lower) * float(view.sorted_values[j])
@@ -153,12 +194,8 @@ def lorenz(Z: RandomVariable, p: float) -> float:
 
 def _lorenz_at(Z: RandomVariable, levels) -> np.ndarray:
     """lorenz(Z, p) at each level of a 1-D array inside [0, 1], bit-equal to
-    the scalar route: the full atoms below p from ``prefix_weighted``, plus
-    the partial atom containing p.  Memory is O(levels + N)."""
-    p = np.asarray(levels, dtype=float)
-    view = sorted_view(Z)
-    j = np.minimum(np.searchsorted(view.cum_probs, p, side="left"), view.cum_probs.size - 1)
-    return view.prefix_weighted[j] + (p - view.prefix_mass[j]) * view.sorted_values[j]
+    the scalar route."""
+    return _lorenz_prefix(sorted_view(Z)._prefix, np.asarray(levels, dtype=float))
 
 
 def lorenz_breakpoints(Z: RandomVariable) -> np.ndarray:

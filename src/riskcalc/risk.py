@@ -12,7 +12,9 @@ equation.  They are constructed greedily on the sorted scenarios, with ties
 broken by ascending scenario index, so every identifier is reproducible: one
 ``np.lexsort`` orders the scenarios (tail value, then descending tilt, then
 index), and one sequential subtraction of the sorted probabilities from p
-gives the mass each atom takes.
+gives the mass each atom takes (``_greedy_fill``).  ``RiskIdentifier``'s
+box and mean check is ``_check_identifier``; ``solve`` calls the fill and
+the check on its arrays, the public constructors through the same code.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, StructuralError
-from .quantiles import lorenz, sorted_view
+from .quantiles import _lorenz_prefix, _Prefix, sorted_view
 from .scenario import ProbSpace, RandomVariable, _running_sum, _sum_ascending, expectation
 
 # Identifier feasibility is enforced to this absolute tolerance.
@@ -56,14 +58,19 @@ class RiskIdentifier:
         z = np.ascontiguousarray(self.zeta, dtype=float)
         if z.shape != (self.space.size,):
             raise StructuralError("identifier density has wrong shape")
-        cap = 1.0 / self.level
-        if np.any(z < -IDENTIFIER_TOL) or np.any(z > cap + IDENTIFIER_TOL):
-            raise StructuralError("identifier density violates its box")
-        mean = _running_sum(self.space.probs * z)
-        if abs(mean - 1.0) > IDENTIFIER_TOL:
-            raise StructuralError(f"identifier density has mean {mean!r}, not 1")
+        _check_identifier(self.space.probs, self.level, z)
         z.flags.writeable = False
         object.__setattr__(self, "zeta", z)
+
+
+def _check_identifier(probs: np.ndarray, p: float, zeta: np.ndarray):
+    """The feasibility check of an identifier density at level p: the box
+    0 <= zeta <= 1/p and the unit mean, to IDENTIFIER_TOL."""
+    if zeta.min() < -IDENTIFIER_TOL or zeta.max() > 1.0 / p + IDENTIFIER_TOL:
+        raise StructuralError("identifier density violates its box")
+    mean = _running_sum(probs * zeta)
+    if abs(mean - 1.0) > IDENTIFIER_TOL:
+        raise StructuralError(f"identifier density has mean {mean!r}, not 1")
 
 
 def _check_level(p: float) -> float:
@@ -73,55 +80,77 @@ def _check_level(p: float) -> float:
     return p
 
 
+def _avars(pre: _Prefix, mean: float, levels: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """AVaR at each level from the variable's mean and prefix arrays: for
+    LOWER -lorenz(Z, p) / p, for UPPER (E[Z] - lorenz(Z, 1 - p)) / p."""
+    if orientation is Orientation.UPPER:
+        return (mean - _lorenz_prefix(pre, 1.0 - levels)) / levels
+    return -_lorenz_prefix(pre, levels) / levels
+
+
 def avar_lower(Z: RandomVariable, p: float) -> float:
     """Average of the worst (smallest) p-tail quantiles, negated:
     -(1/p) * integral of the quantile function over (0, p]."""
-    p = _check_level(p)
-    return -lorenz(Z, p) / p
+    return avar(Z, p, Orientation.LOWER)
 
 
 def avar_upper(Z: RandomVariable, p: float) -> float:
     """Average of the largest p-tail quantiles:
     (1/p) * integral of the quantile function over (1-p, 1]."""
-    p = _check_level(p)
-    return (expectation(Z) - lorenz(Z, 1.0 - p)) / p
+    return avar(Z, p, Orientation.UPPER)
 
 
 def avar(Z: RandomVariable, p: float, orientation: Orientation) -> float:
-    if orientation is Orientation.UPPER:
-        return avar_upper(Z, p)
-    return avar_lower(Z, p)
+    p = _check_level(p)
+    return float(_avars(sorted_view(Z)._prefix, expectation(Z), p, orientation))
 
 
-def _greedy_identifier(
-    Z: RandomVariable, p: float, orientation: Orientation, tilt: np.ndarray | None
-) -> np.ndarray:
-    """Fill 1/p density mass over the relevant tail of Z.
+def _greedy_order(values: np.ndarray, orientation: Orientation, tilt: np.ndarray | None):
+    """The order in which the greedy fill visits the scenarios: tail value
+    first (ascending for LOWER, descending for UPPER), then descending tilt,
+    then ascending scenario index."""
+    primary = values if orientation is Orientation.LOWER else -values
+    return np.lexsort((primary,) if tilt is None else (-tilt, primary))
 
-    Sort order: tail value first (ascending Z for LOWER, descending for
-    UPPER), then descending tilt (so the result maximizes E[zeta * tilt] over
-    the polytope face), then ascending scenario index.  The mass still to
-    place before each sorted atom is p minus the atoms before it, subtracted
-    one at a time; each atom takes min(its probability, that mass), none
-    below zero, and its density is 1/p times the share of its probability it
-    takes.
+
+def _greedy_fill(order: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
+    """Fill 1/p density mass over the scenarios in ``order``.
+
+    The mass still to place before each atom is p minus the atoms before it,
+    subtracted one at a time; each atom takes min(its probability, that
+    mass), none below zero, and its density is 1/p times the share of its
+    probability it takes.
     """
-    n = Z.space.size
+    n = probs.size
     if p == 1.0:
         # Full-mass level: the box pins zeta to the constant density.
         return np.ones(n)
-    primary = Z.values if orientation is Orientation.LOWER else -Z.values
-    order = np.lexsort((primary,) if tilt is None else (-tilt, primary))
-    q = Z.space.probs[order]
-    remaining = np.subtract.accumulate(np.concatenate(([p], q[:-1])))
+    q = probs[order]
+    remaining = np.empty(n)
+    remaining[0] = p
+    remaining[1:] = q[:-1]
+    np.subtract.accumulate(remaining, out=remaining)
     zeta = np.empty(n)
     zeta[order] = (1.0 / p) * (np.minimum(np.maximum(remaining, 0.0), q) / q)
     # Mass can only be left over through rounding; the mean is repaired
     # against the exact target below.
-    mean = _running_sum(Z.space.probs * zeta)
+    mean = _running_sum(probs * zeta)
     if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
         zeta /= mean
     return zeta
+
+
+def _greedy_identifier(
+    values: np.ndarray,
+    probs: np.ndarray,
+    p: float,
+    orientation: Orientation,
+    tilt: np.ndarray | None,
+) -> np.ndarray:
+    """The greedy fill over the relevant tail of the variable with these
+    values and probabilities, in ``_greedy_order`` (so the result maximizes
+    E[zeta * tilt] over the polytope face)."""
+    return _greedy_fill(_greedy_order(values, orientation, tilt), probs, p)
 
 
 def avar_identifier(
@@ -133,8 +162,15 @@ def avar_identifier(
     for UPPER.
     """
     p = _check_level(p)
-    zeta = _greedy_identifier(Z, p, orientation, None)
+    zeta = _greedy_identifier(Z.values, Z.space.probs, p, orientation, None)
     return RiskIdentifier(Z.space, p, orientation, zeta)
+
+
+def _check_direction(Z: RandomVariable, direction) -> np.ndarray:
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (Z.space.size,):
+        raise StructuralError("direction has wrong shape")
+    return d
 
 
 def avar_identifier_lmo(
@@ -147,10 +183,8 @@ def avar_identifier_lmo(
     linear minimization oracle over the subdifferential of AVaR at Z.
     """
     p = _check_level(p)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (Z.space.size,):
-        raise StructuralError("direction has wrong shape")
-    zeta = _greedy_identifier(Z, p, orientation, d)
+    d = _check_direction(Z, direction)
+    zeta = _greedy_identifier(Z.values, Z.space.probs, p, orientation, d)
     return RiskIdentifier(Z.space, p, orientation, zeta)
 
 
@@ -206,11 +240,29 @@ class SpectralMeasure:
         return self.levels == (1.0,)
 
 
+def _spectral_value(pre: _Prefix, mean: float, measure: SpectralMeasure) -> float:
+    """sum_i weights[i] * AVaR_{levels[i]}(Z) from Z's mean and prefix
+    arrays, summed in level order."""
+    avars = _avars(pre, mean, np.array(measure.levels), measure.orientation)
+    return _sum_ascending(np.array(measure.weights) * avars)
+
+
 def spectral_risk(Z: RandomVariable, measure: SpectralMeasure) -> float:
-    return _sum_ascending(
-        w * avar(Z, p, measure.orientation)
-        for p, w in zip(measure.levels, measure.weights)
-    )
+    return _spectral_value(sorted_view(Z)._prefix, expectation(Z), measure)
+
+
+def _spectral_zeta(
+    values: np.ndarray, probs: np.ndarray, measure: SpectralMeasure, tilt: np.ndarray | None
+) -> np.ndarray:
+    """Weighted mixture of the per-level greedy identifiers (one order for
+    every level), each checked for its box and mean."""
+    order = _greedy_order(values, measure.orientation, tilt)
+    out = np.zeros(values.size)
+    for p, w in zip(measure.levels, measure.weights):
+        zeta = _greedy_fill(order, probs, p)
+        _check_identifier(probs, p, zeta)
+        out += w * zeta
+    return out
 
 
 def spectral_identifier(Z: RandomVariable, measure: SpectralMeasure) -> np.ndarray:
@@ -220,10 +272,7 @@ def spectral_identifier(Z: RandomVariable, measure: SpectralMeasure) -> np.ndarr
     subdifferential is the weighted Minkowski sum of the per-level
     identifier polytopes.
     """
-    out = np.zeros(Z.space.size)
-    for p, w in zip(measure.levels, measure.weights):
-        out += w * avar_identifier(Z, p, measure.orientation).zeta
-    return out
+    return _spectral_zeta(Z.values, Z.space.probs, measure, None)
 
 
 def spectral_identifier_lmo(
@@ -231,7 +280,4 @@ def spectral_identifier_lmo(
 ) -> np.ndarray:
     """Mixture density maximizing E[zeta * direction] over the spectral
     subdifferential (the LMO of a Minkowski sum is the sum of the LMOs)."""
-    out = np.zeros(Z.space.size)
-    for p, w in zip(measure.levels, measure.weights):
-        out += w * avar_identifier_lmo(Z, p, measure.orientation, direction).zeta
-    return out
+    return _spectral_zeta(Z.values, Z.space.probs, measure, _check_direction(Z, direction))

@@ -32,12 +32,18 @@ def _sum_ascending(values) -> float:
     return total
 
 
+def _check_finite(values: np.ndarray):
+    """The finiteness check of every random variable's values."""
+    if not np.isfinite(values).all():
+        raise DomainError("random variable values must be finite")
+
+
 def _running_sum(terms: np.ndarray):
     """0 + terms[0] + terms[1] + ... over the first axis (a float for a
     vector): the last row of a cumulative sum, which numpy adds in order.
     Adding the zero last gives the bits of ``_sum_ascending``: it only turns
     a -0.0 sum into 0.0."""
-    total = np.cumsum(terms, axis=0)[-1] + 0.0
+    total = terms.cumsum(axis=0)[-1] + 0.0
     return float(total) if total.ndim == 0 else total
 
 
@@ -110,8 +116,7 @@ class RandomVariable:
             raise StructuralError(
                 f"values shape {v.shape} does not match {self.space.size} scenarios"
             )
-        if not np.all(np.isfinite(v)):
-            raise DomainError("random variable values must be finite")
+        _check_finite(v)
         object.__setattr__(self, "values", _readonly(v))
 
     def __eq__(self, other) -> bool:
@@ -128,7 +133,8 @@ class InfoPartition:
     """Partition of the scenario set into blocks (a finite sigma-algebra).
 
     Blocks are tuples of scenario indices; together they must cover every
-    scenario exactly once.
+    scenario exactly once.  Each block's indices are also kept as one integer
+    array, built once here, for the per-block sums downstream.
     """
 
     space: ProbSpace
@@ -143,15 +149,15 @@ class InfoPartition:
         if seen != list(range(n)):
             raise StructuralError("blocks must cover each scenario exactly once")
         object.__setattr__(self, "blocks", blocks)
+        index = tuple(np.array(b, dtype=int) for b in blocks)
         block_of = np.empty(n, dtype=int)
-        for j, b in enumerate(blocks):
-            for i in b:
-                block_of[i] = j
+        for j, idx in enumerate(index):
+            idx.flags.writeable = False
+            block_of[idx] = j
         block_of.flags.writeable = False
+        object.__setattr__(self, "_block_index", index)
         object.__setattr__(self, "_block_of", block_of)
-        bp = np.array(
-            [_running_sum(self.space.probs[list(b)]) for b in blocks]
-        )
+        bp = np.array([_running_sum(self.space.probs[idx]) for idx in index])
         bp.flags.writeable = False
         object.__setattr__(self, "_block_probs", bp)
 
@@ -197,8 +203,7 @@ def conditional_expectation(Z: RandomVariable, G: InfoPartition) -> RandomVariab
     if G.space != Z.space:
         raise StructuralError("partition and variable live on different spaces")
     out = np.empty(Z.space.size)
-    for j, b in enumerate(G.blocks):
-        idx = list(b)
+    for j, idx in enumerate(G._block_index):
         block_vals = Z.values[idx]
         if np.all(block_vals == block_vals[0]):
             # already constant here: averaging must act as the identity so
@@ -214,8 +219,8 @@ def is_measurable(Z: RandomVariable, G: InfoPartition) -> bool:
     """True when Z is constant on every block of G (exact comparison)."""
     if G.space != Z.space:
         raise StructuralError("partition and variable live on different spaces")
-    for b in G.blocks:
-        block_vals = Z.values[list(b)]
+    for idx in G._block_index:
+        block_vals = Z.values[idx]
         if not np.all(block_vals == block_vals[0]):
             return False
     return True

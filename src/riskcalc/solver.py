@@ -7,8 +7,27 @@ Lorenz breakpoints of Y and of G(x) inside [alpha, beta].
 
 solve: projected switching subgradient method (feasibility step at the most
 violated checked level, objective step otherwise).  No inner LP or QP is
-ever formed.  Each iteration makes one kernel call for G (rho and the
-feasibility step) and, on objective steps, one for F (value and step).
+ever formed.
+  - Checked once, before the loop: the problem by ``ProblemSpec`` (kinds,
+    spaces, dimensions, a finite box) and the options by ``SolveOptions``
+    (iters an integer >= 1, gamma0 None or finite > 0, tol_feas finite
+    >= 0).
+  - On arrays, in the loop: the iterate is a (blocks, n) array.  Each
+    iteration makes one unchecked kernel call for G (``_pieces``); one
+    stable sort of G(x) (``_sort_prefix``) gives the checked levels, rho
+    and, on a feasibility step, the lower identifier's greedy order.
+    Objective steps make one kernel call for F, whose prefix arrays give
+    the spectral risk, and whose identifier comes from the same greedy
+    fill as ``spectral_identifier``.  Selector rows are chosen from the
+    kernel's piece values only for the step taken.
+  - Checks that can fail stay in the loop: G(x) and F(x) must be finite
+    (DomainError; large coefficients can overflow) and every identifier
+    passes its box and mean check (StructuralError).
+  - Public objects (``DecisionPoint``, ``Solution``) are built only for
+    the result.  The public routes (``evaluate``, ``rho``,
+    ``spectral_risk``, ``spectral_identifier``, ``lorenz_supergradient``,
+    the chain rule's block sums) are checked wrappers over these same
+    private functions.
 
 certify: measures the distance from 0 to  g + sum_p eta_p d_p + n  with g in
 the composite subdifferential polytope, d_p in the constraint subgradient
@@ -34,25 +53,34 @@ cone, by column generation over the exact sorting/active-piece LMOs.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import _ChainRule, composite_value
+from .composite import _ChainRule, _conditional_blocks, composite_value
 from .dominance import DominanceConstraint
 from .errors import ConfigurationError, DomainError, StructuralError
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
-from .quantiles import _lorenz_at, lorenz, lorenz_breakpoints
+from .quantiles import _lorenz_at, _sort_prefix, lorenz, lorenz_breakpoints
 from .risk import (
     Orientation,
     SpectralMeasure,
+    _check_identifier,
+    _greedy_fill,
+    _spectral_value,
+    _spectral_zeta,
     avar_identifier_lmo,
-    lorenz_supergradient,
-    spectral_identifier,
     spectral_identifier_lmo,
-    spectral_risk,
 )
-from .scenario import InfoPartition, ProbSpace, _sum_ascending
+from .scenario import (
+    InfoPartition,
+    ProbSpace,
+    _check_finite,
+    _running_sum,
+    _sum_ascending,
+)
 
 # Residual search defaults.
 CERT_TOL = 1e-5
@@ -130,11 +158,44 @@ class ProblemSpec:
         return lo, hi
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# Per solver option: the test its value must pass, and the rule in words.
+# SolveOptions applies them on construction; the CLI applies them to the
+# problem file's "solver" section, field by field.
+_OPTION_RULES = {
+    "iters": (
+        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+        "an integer >= 1",
+    ),
+    "gamma0": (
+        lambda v: v is None or (_is_real(v) and math.isfinite(v) and v > 0),
+        "a finite number > 0",
+    ),
+    "tol_feas": (
+        lambda v: _is_real(v) and math.isfinite(v) and v >= 0,
+        "a finite number >= 0",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SolveOptions:
+    """solve's iteration budget, initial step (None: the box diameter) and
+    feasibility slack; checked on construction against _OPTION_RULES
+    (DomainError)."""
+
     iters: int = 20000
     gamma0: float | None = None
     tol_feas: float = TOL_FEAS
+
+    def __post_init__(self):
+        for name, (valid, rule) in _OPTION_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise DomainError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,52 +208,72 @@ class Solution:
     trace: tuple[tuple[int, float], ...]
 
 
+def _objective_at(problem: ProblemSpec, x: np.ndarray, block_of):
+    """(piece values, F(x), the objective risk at x) by one kernel call."""
+    vals, Z = problem.objective._pieces(x, block_of)
+    _check_finite(Z)
+    probs = problem.space.probs
+    return vals, Z, _spectral_value(_sort_prefix(Z, probs), _running_sum(probs * Z), problem.risk)
+
+
 def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     """Projected switching subgradient method; deterministic given options.
 
     Returns the best iterate whose violation on the checked levels is at most
     tol_feas; if none exists, the least-violation iterate flagged infeasible.
-    Raises DomainError when opts.iters is below 1.
+    The problem and the options were checked when they were built; the loop
+    runs on the (blocks, n) iterate array and keeps only the checks that can
+    fail there: G(x) and F(x) finite (DomainError) and each identifier in
+    its box with unit mean (StructuralError).
     """
     opts = opts or SolveOptions()
-    if opts.iters < 1:
-        raise DomainError(f"iters must be at least 1, got {opts.iters!r}")
     lo, hi = problem.block_bounds()
     gamma0 = opts.gamma0
     if gamma0 is None:
         gamma0 = float(np.linalg.norm((hi - lo).ravel()))
         if gamma0 <= 0.0:
             gamma0 = 1.0
+    G, C, probs = problem.constraint_integrand, problem.constraint, problem.space.probs
+    block_of = None if problem.partition is None else problem.partition.block_of
+
+    def blocks(weights, rows):
+        return _conditional_blocks(problem.space, problem.partition, weights, rows)
+
     x = 0.5 * (lo + hi)
     best_obj = np.inf
     best_x = None
     least_viol = np.inf
     trace: list[tuple[int, float]] = []
     for t in range(opts.iters):
-        xp = problem.decision(x)
-        g = _ChainRule(problem.constraint_integrand, xp, problem.partition)
-        levels, rho = problem.constraint.rho(g.Z)
+        g_vals, Zg = G._pieces(x, block_of)
+        _check_finite(Zg)
+        pre = _sort_prefix(Zg, probs)
+        levels = C._levels_on(pre)
+        rho = C._rho_on(pre, levels)
         viol = float(np.max(rho))
         if viol < least_viol:
             least_viol = viol
             least_viol_x = x.copy()
         if viol <= opts.tol_feas:
-            f = _ChainRule(problem.objective, xp, problem.partition)
-            obj = spectral_risk(f.Z, problem.risk)
+            f_vals, Zf, obj = _objective_at(problem, x, block_of)
             if obj < best_obj:
                 best_obj, best_viol = obj, viol
                 best_x = x.copy()
                 trace.append((t, obj))
-            step = f.blocks(spectral_identifier(f.Z, problem.risk))
+            zeta = _spectral_zeta(Zf, probs, problem.risk, None)
+            step = blocks(zeta, problem.objective._active_rows(f_vals, Zf)[0])
         else:
             p = float(levels[int(np.argmax(rho))])
-            step = -g.blocks(lorenz_supergradient(g.Z, p))
+            # The lower identifier's greedy order is G(x)'s stable sort.
+            zeta = _greedy_fill(pre.order, probs, p)
+            _check_identifier(probs, p, zeta)
+            step = -blocks(p * zeta, G._active_rows(g_vals, Zg)[0])
         gamma = gamma0 / np.sqrt(t + 1.0)
         x = np.clip(x - gamma * step, lo, hi)
     feasible = best_x is not None
     if not feasible:
         best_x, best_viol = least_viol_x, least_viol
-        best_obj = composite_value(problem.risk, problem.objective, problem.decision(best_x))
+        best_obj = _objective_at(problem, best_x, block_of)[2]
     return Solution(
         problem.decision(best_x), best_obj, best_viol, opts.iters, feasible, tuple(trace)
     )

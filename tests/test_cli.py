@@ -230,6 +230,30 @@ class TestDiagnosticCodes:
         assert err == "E_INTERNAL: ValueError: boom\n"
         assert out == ""
 
+    @pytest.mark.parametrize("field", ["gamma0", "tol_feas"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_solver_option_is_a_type_error(self, tmp_path, field, value, capsys):
+        # json reads NaN and Infinity; a NaN tol_feas passed a "< 0" test
+        # and left median.json infeasible, a NaN gamma0 failed mid-loop
+        with open(instance_path("median"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["solver"][field] = value
+        path = write_doc(str(tmp_path), doc)
+        code, out, err = run(["solve", "--problem", path], capsys)
+        assert code == 2
+        assert err.startswith(f"E_TYPE at solver.{field}:")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iters", 0), ("iters", 2.5), ("gamma0", 0), ("gamma0", -1.0), ("tol_feas", -1e-9)],
+    )
+    def test_solver_option_out_of_range(self, tmp_path, field, value):
+        doc = minimal_doc()
+        doc["solver"] = {field: value}
+        err = expect_code(str(tmp_path), doc, "E_TYPE")
+        assert err.path == f"solver.{field}"
+
     @pytest.mark.parametrize("command", ["solve", "certify"])
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_iteration_budget_below_one_is_a_domain_error(self, command, iters, capsys):

@@ -405,7 +405,7 @@ def loop_identifier(Z, p, orientation, tilt):
 
 class TestGreedyMatchesLoop:
     def assert_same(self, Z, p, orientation, tilt):
-        got = _greedy_identifier(Z, p, orientation, tilt)
+        got = _greedy_identifier(Z.values, Z.space.probs, p, orientation, tilt)
         assert got.tobytes() == loop_identifier(Z, p, orientation, tilt).tobytes()
 
     def test_ties_in_value_and_tilt(self):

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -9,23 +12,37 @@ from riskcalc import (
     MaxAffineIntegrand,
     Orientation,
     ProblemSpec,
+    Solution,
     SolveOptions,
     SpectralMeasure,
     StructuralError,
     brute_force_optimum,
     certify,
+    composite_subgradient,
     composite_value,
+    constraint_subgradient,
     deterministic,
     equiprobable,
+    evaluate,
+    InfoPartition,
+    RandomVariable,
     lagrangian_value,
     nu_from_mu,
     solve,
     uniform_dominance_margin,
 )
 from riskcalc.cli import load_problem
-from tests.conftest import abs_integrand, instance_path, integrand, rv
+from tests.conftest import (
+    INSTANCE_DIR,
+    abs_integrand,
+    instance_path,
+    integrand,
+    random_space,
+    rv,
+)
 
 E = SpectralMeasure.expectation()
+SHIPPED = sorted(f[: -len(".json")] for f in os.listdir(INSTANCE_DIR) if f.endswith(".json"))
 
 
 def slack_constraint(space, benchmark_value=-100.0):
@@ -406,17 +423,25 @@ class TestShippedInstances:
     @pytest.mark.parametrize("name", ["median", "i05_block_medians"])
     def test_one_kernel_call_per_integrand_and_iteration(self, name, monkeypatch):
         # one G evaluation per iteration, one F evaluation per objective
-        # step, and at most the final evaluation at x_hat
+        # step, and at most the final evaluation at x_hat; solve calls the
+        # unchecked array kernel and never the checked route
         calls = []
-        select = MaxAffineIntegrand._select
+        pieces = MaxAffineIntegrand._pieces
 
         def counted(self, *args, **kwargs):
             calls.append(self)
-            return select(self, *args, **kwargs)
+            return pieces(self, *args, **kwargs)
 
-        monkeypatch.setattr(MaxAffineIntegrand, "_select", counted)
+        def unexpected(self, *args, **kwargs):
+            raise AssertionError("solve went through the checked route")
+
+        monkeypatch.setattr(MaxAffineIntegrand, "_pieces", counted)
+        monkeypatch.setattr(MaxAffineIntegrand, "_select", unexpected)
         iters = 300
-        solve(load(name).spec, SolveOptions(iters=iters))
+        spec = load(name).spec
+        solve(spec, SolveOptions(iters=iters))
+        g_calls = sum(1 for F in calls if F is spec.constraint_integrand)
+        assert g_calls == iters
         assert len(calls) <= 2 * iters + 2
 
     def test_solution_trace_records_improvements(self):
@@ -428,3 +453,157 @@ class TestShippedInstances:
         vals = [v for _, v in trace]
         assert iters == sorted(iters)
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# solve's array loop against the same method written with public objects.
+
+
+def reference_solve(problem, opts):
+    """The switching subgradient loop through the public, checked functions:
+    a DecisionPoint, G(x) as a RandomVariable, the constraint's rho and the
+    two public subgradients at every iteration."""
+    lo, hi = problem.block_bounds()
+    gamma0 = opts.gamma0
+    if gamma0 is None:
+        gamma0 = float(np.linalg.norm((hi - lo).ravel()))
+        if gamma0 <= 0.0:
+            gamma0 = 1.0
+    F, G, C = problem.objective, problem.constraint_integrand, problem.constraint
+    x = 0.5 * (lo + hi)
+    best_obj, best_x, least_viol = np.inf, None, np.inf
+    trace = []
+    for t in range(opts.iters):
+        xp = problem.decision(x)
+        levels, rho = C.rho(evaluate(G, xp))
+        viol = float(np.max(rho))
+        if viol < least_viol:
+            least_viol, least_viol_x = viol, x.copy()
+        if viol <= opts.tol_feas:
+            obj = composite_value(problem.risk, F, xp)
+            if obj < best_obj:
+                best_obj, best_viol, best_x = obj, viol, x.copy()
+                trace.append((t, obj))
+            step = composite_subgradient(problem.risk, F, xp, problem.partition).vectors
+        else:
+            p = float(levels[int(np.argmax(rho))])
+            step = constraint_subgradient(G, xp, p, problem.partition)
+        gamma = gamma0 / np.sqrt(t + 1.0)
+        x = np.clip(x - gamma * step, lo, hi)
+    feasible = best_x is not None
+    if not feasible:
+        best_x, best_viol = least_viol_x, least_viol
+        best_obj = composite_value(problem.risk, F, problem.decision(best_x))
+    return Solution(
+        problem.decision(best_x), best_obj, best_viol, opts.iters, feasible, tuple(trace)
+    )
+
+
+def solution_bytes(sol):
+    """Every Solution field, as bytes or exact reprs with their types."""
+    return (
+        sol.x_hat.vectors.tobytes(),
+        sol.x_hat.vectors.shape,
+        sol.x_hat.partition,
+        type(sol.objective_value),
+        repr(sol.objective_value),
+        type(sol.max_violation),
+        repr(sol.max_violation),
+        sol.iterations,
+        sol.feasible,
+        tuple((t, type(v), repr(v)) for t, v in sol.trace),
+    )
+
+
+def random_problem(rng, i):
+    """A small problem: tied values on lattices every other time, a
+    partition every other pair, 1-3 level spectral objectives, and a
+    benchmark above G everywhere (infeasible) one time in four."""
+    n = int(rng.integers(1, 10))
+    dim = int(rng.integers(1, 4))
+    space = equiprobable(n) if i % 2 == 0 else random_space(rng, n)
+
+    def pieces(curvature):
+        fams = []
+        for _ in range(n):
+            m = int(rng.integers(1, 5))
+            if i % 2 == 0:
+                fam = [(rng.integers(-2, 3, dim), float(rng.integers(-2, 3))) for _ in range(m)]
+            else:
+                fam = [(rng.uniform(-2, 2, dim), rng.uniform(-1, 1)) for _ in range(m)]
+            fams.append(fam)
+        return integrand(space, fams, curvature)
+
+    F, G = pieces(Curvature.CONVEX), pieces(Curvature.CONCAVE)
+    drawn = rng.choice([0.1, 0.25, 0.5, 0.8, 1.0], int(rng.integers(1, 4)))
+    levels = sorted(set(float(v) for v in drawn))
+    w = rng.uniform(0.1, 1.0, len(levels))
+    weights = list(w / w.sum())
+    weights[-1] = 1.0 - sum(weights[:-1])
+    risk = SpectralMeasure(tuple(levels), tuple(weights), Orientation.UPPER)
+    centre = evaluate(G, deterministic(np.zeros(dim))).values
+    shift = 0.5 if i % 4 == 3 else -0.2
+    ceiling = np.max(np.abs(G.slopes).sum(axis=2) + np.abs(G.offsets))
+    Y = RandomVariable(space, centre + shift if shift < 0 else np.full(n, ceiling + shift))
+    alpha = float(rng.choice([0.2, 0.5, 1.0]))
+    grid = (alpha,) if alpha == 1.0 else (alpha, 0.5 * (alpha + 1.0), 1.0)
+    C = DominanceConstraint(Y, alpha, 1.0, grid)
+    partition = None
+    if (i // 2) % 2 == 1 and n > 1:
+        perm = [int(k) for k in rng.permutation(n)]
+        cut = int(rng.integers(1, n))
+        partition = InfoPartition(space, (tuple(perm[:cut]), tuple(perm[cut:])))
+    return ProblemSpec(space, risk, F, G, C, -np.ones(dim), np.ones(dim), partition)
+
+
+class TestArrayLoopMatchesPublicLoop:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_instances_bitwise(self, name):
+        spec = load(name).spec
+        for opts in (SolveOptions(iters=300), SolveOptions(iters=120, gamma0=0.25, tol_feas=0.0)):
+            got = solution_bytes(solve(spec, opts))
+            assert got == solution_bytes(reference_solve(spec, opts))
+
+    def test_random_problems_bitwise(self):
+        rng = np.random.default_rng(7)
+        kinds = set()
+        for i in range(40):
+            prob = random_problem(rng, i)
+            opts = SolveOptions(iters=int(rng.integers(1, 80)))
+            got = solve(prob, opts)
+            assert solution_bytes(got) == solution_bytes(reference_solve(prob, opts))
+            kinds.add((got.feasible, prob.partition is not None, len(prob.risk.levels) > 1))
+        # both outcomes, with and without blocks, and multi-level objectives
+        assert {f for f, _, _ in kinds} == {True, False}
+        assert {b for _, b, _ in kinds} == {True, False}
+        assert any(m for _, _, m in kinds)
+
+
+class TestSolveOptionsChecked:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"iters": 0},
+            {"iters": -3},
+            {"iters": 2.0},
+            {"iters": True},
+            {"gamma0": 0.0},
+            {"gamma0": -1.0},
+            {"gamma0": float("nan")},
+            {"gamma0": float("inf")},
+            {"tol_feas": -1e-9},
+            {"tol_feas": float("nan")},
+            {"tol_feas": float("inf")},
+        ],
+    )
+    def test_rejected_on_construction(self, kwargs):
+        # gamma0 = 0 never moved and gamma0 = -1 stepped uphill; a NaN
+        # tol_feas never took an objective step
+        with pytest.raises(DomainError):
+            SolveOptions(**kwargs)
+        with pytest.raises(DomainError):
+            dataclasses.replace(SolveOptions(), **kwargs)
+
+    def test_accepted_values(self):
+        SolveOptions(iters=np.int64(5), gamma0=None, tol_feas=0)
+        SolveOptions(iters=1, gamma0=1e-300, tol_feas=0.0)

@@ -11,14 +11,12 @@ With this block form the subgradient inequality holds in the probability-
 weighted pairing sum_B P(B) <g_B, h_B>, which collapses to the plain inner
 product for deterministic decisions.
 
-One routine, ``_ChainRule``, makes the one kernel call at x (and along a
-direction) that gives F(x), the selector and its rates; the caller takes
-the identifier at F(x) with the rates as tilt and ``blocks`` forms g_B.
-Callers: ``composite_subgradient``, ``dominance.constraint_subgradient``
-and certify's two oracles.  ``composite_subgradient`` tilts by the rates
-(the weighted pairing above), certify by the rates over P(B) (the Euclidean
-pairing of stacked coordinates).  ``solve`` forms the same products from
-the kernel's arrays and ``_conditional_blocks`` directly.
+Each subgradient makes one active-piece kernel call at x (checked for the
+public functions, unchecked for ``solve`` and ``certify``), takes the
+identifier at F(x) and forms g_B with ``_conditional_blocks``.  Along a
+direction the identifier is tilted by the selector's rates (the weighted
+pairing above), in certify by the rates over P(B) (the Euclidean pairing
+of stacked coordinates).
 """
 
 from __future__ import annotations
@@ -144,31 +142,6 @@ def _on_blocks(x: DecisionPoint, partition: InfoPartition | None) -> DecisionPoi
     return x
 
 
-class _ChainRule:
-    """F linearised at x by one kernel call: ``Z`` is F(x) and ``rows`` holds
-    per scenario the gradient of one active piece, the lowest-index one or,
-    with ``direction``, the one of extreme rate along it (``rates``, else
-    None).  x and direction are put on ``partition``'s blocks."""
-
-    def __init__(
-        self,
-        F: MaxAffineIntegrand,
-        x: DecisionPoint,
-        partition: InfoPartition | None = None,
-        direction: DecisionPoint | None = None,
-    ):
-        x = _on_blocks(x, partition)
-        if direction is not None:
-            direction = _on_blocks(direction, partition)
-        values, self.rows, self.rates = F._select(x, direction)
-        self.Z = RandomVariable(F.space, values)
-        self.partition = partition
-
-    def blocks(self, weights: np.ndarray) -> np.ndarray:
-        """E[weights * s | partition] in block rows, s the selector ``rows``."""
-        return _conditional_blocks(self.Z.space, self.partition, weights, self.rows)
-
-
 def composite_subgradient(
     risk: SpectralMeasure,
     F: MaxAffineIntegrand,
@@ -187,15 +160,20 @@ def composite_subgradient(
     a negative entry would break the monotonicity the chain rule relies on.
     """
     _require_objective_pair(risk, F)
-    rule = _ChainRule(F, x, partition, direction)
+    x = _on_blocks(x, partition)
+    if direction is not None:
+        direction = _on_blocks(direction, partition)
+    values, rows, rates = F._select(x, direction)
+    Z = RandomVariable(F.space, values)
     if direction is None:
-        zeta = spectral_identifier(rule.Z, risk)
+        zeta = spectral_identifier(Z, risk)
     else:
-        zeta = spectral_identifier_lmo(rule.Z, risk, rule.rates)
+        zeta = spectral_identifier_lmo(Z, risk, rates)
     if np.any(zeta < 0.0):
         raise StructuralError("risk identifier has a negative entry")
-    sel = SubgradientSelector(F.space, rule.rows)
-    return CompositeGradient(rule.blocks(zeta), partition, _readonly(zeta.copy()), sel)
+    sel = SubgradientSelector(F.space, rows)
+    g = _conditional_blocks(F.space, partition, zeta, rows)
+    return CompositeGradient(g, partition, _readonly(zeta.copy()), sel)
 
 
 def strassen_gradient(F: MaxAffineIntegrand, x: DecisionPoint) -> CompositeGradient:

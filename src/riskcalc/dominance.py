@@ -11,9 +11,9 @@ finitely many levels: both Lorenz functions are piecewise linear with
 breakpoints among the cumulative scenario probabilities, so a grid augmented
 with those breakpoints checks the continuum exactly.
 
-``constraint_subgradient`` is the chain rule (``composite._ChainRule``) with
-the lower AVaR identifier at level p scaled by p (``lorenz_supergradient``),
-negated: rho_p falls as G(x) rises.
+``constraint_subgradient`` is the chain rule with the lower AVaR identifier
+at level p scaled by p (``lorenz_supergradient``) and a concave selector,
+negated: rho_p falls as G(x) rises.  certify forms it on arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InvariantViolation, StructuralError
-from .composite import _ChainRule
+from .composite import _conditional_blocks, _on_blocks
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
 from .quantiles import _lorenz_at, _lorenz_prefix, _Prefix, sorted_view
 from .risk import lorenz_supergradient
@@ -287,5 +287,6 @@ def constraint_subgradient(
     selector s of G at x:  per block, -E[p * zeta * s | info].
     """
     _require_concave(G)
-    rule = _ChainRule(G, x, info)
-    return -rule.blocks(lorenz_supergradient(rule.Z, p))
+    values, rows, _ = G._select(_on_blocks(x, info))
+    zeta = lorenz_supergradient(RandomVariable(G.space, values), p)
+    return -_conditional_blocks(G.space, info, zeta, rows)

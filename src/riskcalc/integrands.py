@@ -12,13 +12,11 @@ selectors is again a valid selector.
 
 The pieces are stored once, as an (N, m, n) slope tensor and an (N, m)
 offset array, m being the largest piece count; a scenario with fewer pieces
-repeats its last one.  One kernel (``MaxAffineIntegrand._select``) evaluates
-every piece of every scenario in a single batched product and picks the
-active piece per scenario; evaluate, the directional derivative, the
-selector and the certifier's linear minimisation oracles all call it.  It
-is the checked route to two unchecked array functions, ``_pieces`` (the
-batched product and the max/min) and ``_active_rows`` (the chosen piece),
-which ``solve`` calls directly on its block-row iterate.
+repeats its last one.  One unchecked kernel evaluates every piece of every
+scenario in a single batched product (``_rates``, then ``_pieces``) and
+picks the active piece per scenario (``_active_rows``); ``solve`` and
+``certify`` call it directly on block rows.  ``MaxAffineIntegrand._select``
+is its checked route, which the public functions call.
 """
 
 from __future__ import annotations

@@ -13,26 +13,31 @@ ever formed.
     (iters an integer >= 1, gamma0 None or finite > 0, tol_feas finite
     >= 0).
   - On arrays, in the loop: the iterate is a (blocks, n) array.  Each
-    iteration makes one unchecked kernel call for G (``_pieces``); one
-    stable sort of G(x) (``_sort_prefix``) gives the checked levels, rho
-    and, on a feasibility step, the lower identifier's greedy order.
-    Objective steps make one kernel call for F, whose prefix arrays give
-    the spectral risk, and whose identifier comes from the same greedy
-    fill as ``spectral_identifier``.  Selector rows are chosen from the
-    kernel's piece values only for the step taken.
+    iteration calls ``_constraint_at``: one unchecked kernel call for G
+    (``_pieces``) and one stable sort of G(x) (``_sort_prefix``), which give
+    the checked levels, rho and, on a feasibility step, the lower
+    identifier's greedy order.  Objective steps make one kernel call for F,
+    whose prefix arrays give the spectral risk, and whose identifier comes
+    from the same greedy fill as ``spectral_identifier``.  Selector rows are
+    chosen from the kernel's piece values only for the step taken.
   - Checks that can fail stay in the loop: G(x) and F(x) must be finite
     (DomainError; large coefficients can overflow) and every identifier
     passes its box and mean check (StructuralError).
   - Public objects (``DecisionPoint``, ``Solution``) are built only for
     the result.  The public routes (``evaluate``, ``rho``,
     ``spectral_risk``, ``spectral_identifier``, ``lorenz_supergradient``,
-    the chain rule's block sums) are checked wrappers over these same
-    private functions.
+    the public subgradients' block sums) are checked wrappers over these
+    same private functions.
 
 certify: measures the distance from 0 to  g + sum_p eta_p d_p + n  with g in
 the composite subdifferential polytope, d_p in the constraint subgradient
 polytope at each active checked level p, eta_p >= 0, and n in the box normal
 cone, by column generation over the exact sorting/active-piece LMOs.
+  - Checked once, at entry: the arguments, by ``SolveOptions``' rules, and
+    the point; then ``_ResidualGeometry`` holds arrays: x_hat's block rows,
+    F's and G's piece values there (one kernel call each) and the active
+    levels from ``_constraint_at``, as ``solve`` reads them.  Each oracle
+    call makes one ``_rates`` product and builds no public object.
   - Columns: objective vertices, whose weights sum to one; one constraint
     vertex per active level and round, conic with no cap; the normal-cone
     generators -e_i / +e_i where x sits at a lower / upper bound, conic and
@@ -46,9 +51,7 @@ cone, by column generation over the exact sorting/active-piece LMOs.
     when every gaining column is present already, or after max_iters rounds.
   - Witness: a Certificate holds the multipliers (kappa, levels, weights and
     nu), the residual, c_gap, the box normal-cone part of the residual
-    vector and the search's stop data, all O(D + levels); it keeps no
-    per-scenario array, so the columns' identifiers and selectors are
-    dropped once their stacked vectors are formed.
+    vector and the search's stop data, all O(D + levels).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import _ChainRule, _conditional_blocks, composite_value
+from .composite import _conditional_blocks, _on_blocks, composite_value
 from .dominance import DominanceConstraint
 from .errors import ConfigurationError, DomainError, StructuralError
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
@@ -69,10 +72,9 @@ from .risk import (
     SpectralMeasure,
     _check_identifier,
     _greedy_fill,
+    _greedy_order,
     _spectral_value,
     _spectral_zeta,
-    avar_identifier_lmo,
-    spectral_identifier_lmo,
 )
 from .scenario import (
     InfoPartition,
@@ -162,23 +164,27 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-# Per solver option: the test its value must pass, and the rule in words.
-# SolveOptions applies them on construction; the CLI applies them to the
-# problem file's "solver" section, field by field.
+# Argument rules: the test a value must pass, and the rule in words.  Per
+# solver option, SolveOptions applies its rule on construction and the CLI
+# to the problem file's "solver" section; certify and brute_force_optimum
+# check their arguments by the same rules.
+_COUNT = (
+    lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+    "an integer >= 1",
+)
+_POSITIVE = (lambda v: _is_real(v) and math.isfinite(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = (lambda v: _is_real(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
 _OPTION_RULES = {
-    "iters": (
-        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-        "an integer >= 1",
-    ),
-    "gamma0": (
-        lambda v: v is None or (_is_real(v) and math.isfinite(v) and v > 0),
-        "a finite number > 0",
-    ),
-    "tol_feas": (
-        lambda v: _is_real(v) and math.isfinite(v) and v >= 0,
-        "a finite number >= 0",
-    ),
+    "iters": _COUNT,
+    "gamma0": (lambda v: v is None or _POSITIVE[0](v), _POSITIVE[1]),
+    "tol_feas": _NONNEGATIVE,
 }
+
+
+def _check_arg(name: str, value, rule):
+    valid, words = rule
+    if not valid(value):
+        raise DomainError(f"{name} must be {words}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -192,10 +198,8 @@ class SolveOptions:
     tol_feas: float = TOL_FEAS
 
     def __post_init__(self):
-        for name, (valid, rule) in _OPTION_RULES.items():
-            value = getattr(self, name)
-            if not valid(value):
-                raise DomainError(f"{name} must be {rule}, got {value!r}")
+        for name, rule in _OPTION_RULES.items():
+            _check_arg(name, getattr(self, name), rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +220,17 @@ def _objective_at(problem: ProblemSpec, x: np.ndarray, block_of):
     return vals, Z, _spectral_value(_sort_prefix(Z, probs), _running_sum(probs * Z), problem.risk)
 
 
+def _constraint_at(problem: ProblemSpec, x: np.ndarray, block_of):
+    """(piece values, G(x), its prefix arrays, the checked levels, rho on
+    them) by one kernel call and one stable sort: the one place where solve
+    and certify decide which levels are violated and which are active."""
+    vals, Z = problem.constraint_integrand._pieces(x, block_of)
+    _check_finite(Z)
+    pre = _sort_prefix(Z, problem.space.probs)
+    levels = problem.constraint._levels_on(pre)
+    return vals, Z, pre, levels, problem.constraint._rho_on(pre, levels)
+
+
 def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     """Projected switching subgradient method; deterministic given options.
 
@@ -233,7 +248,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
         gamma0 = float(np.linalg.norm((hi - lo).ravel()))
         if gamma0 <= 0.0:
             gamma0 = 1.0
-    G, C, probs = problem.constraint_integrand, problem.constraint, problem.space.probs
+    G, probs = problem.constraint_integrand, problem.space.probs
     block_of = None if problem.partition is None else problem.partition.block_of
 
     def blocks(weights, rows):
@@ -245,11 +260,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     least_viol = np.inf
     trace: list[tuple[int, float]] = []
     for t in range(opts.iters):
-        g_vals, Zg = G._pieces(x, block_of)
-        _check_finite(Zg)
-        pre = _sort_prefix(Zg, probs)
-        levels = C._levels_on(pre)
-        rho = C._rho_on(pre, levels)
+        g_vals, Zg, pre, levels, rho = _constraint_at(problem, x, block_of)
         viol = float(np.max(rho))
         if viol < least_viol:
             least_viol = viol
@@ -332,14 +343,15 @@ def brute_force_optimum(
     [alpha, beta]), with a BRUTE_FEAS_GUARD float guard so that active
     constraints are not misclassified through last-ulp noise.  G(x)'s
     breakpoints are scanned by a vectorised pass of its own.  Refuses
-    stacked dimension above 4.
+    stacked dimension above 4, a grid resolution that is not a finite
+    number > 0 and a chunk size that is not an integer >= 1 (DomainError).
     """
+    _check_arg("grid_resolution", grid_resolution, _POSITIVE)
+    _check_arg("chunk", chunk, _COUNT)
     D = problem.stacked_dim
     if D > 4:
         raise DomainError(f"brute force limited to stacked dimension <= 4, got {D}")
     res = float(grid_resolution)
-    if res <= 0.0:
-        raise DomainError("grid resolution must be positive")
     lo, hi = problem.block_bounds()
     lo_f, hi_f = lo.ravel(), hi.ravel()
     axes = []
@@ -480,26 +492,27 @@ class Certificate:
 
 
 class _ResidualGeometry:
-    """Frozen data for one certification run: the point, its active levels
-    and the box normal-cone generators."""
+    """Arrays for one certification run at x_hat (block rows): F's and G's
+    piece values, the active levels and the box normal-cone generators."""
 
-    def __init__(self, problem: ProblemSpec, x_hat: DecisionPoint, act_tol: float):
-        self.problem = problem
-        self.x = x_hat
-        self.partition = problem.partition
-        self.D = problem.stacked_dim
-        levels, rho = problem.constraint.rho(evaluate(problem.constraint_integrand, x_hat))
+    def __init__(self, problem: ProblemSpec, x: np.ndarray, act_tol: float):
+        self.problem, self.x, self.D = problem, x, x.size
+        partition = problem.partition
+        self.block_of = None if partition is None else partition.block_of
+        self.f_vals, self.Zf = problem.objective._pieces(x, self.block_of)
+        _check_finite(self.Zf)
+        self.g_vals, self.Zg, _, levels, rho = _constraint_at(problem, x, self.block_of)
         active = np.abs(rho) <= act_tol
         # Active level -> its Lorenz gap lorenz(Y, p) - lorenz(G(x), p).
         self.active_rho = {float(p): float(r) for p, r in zip(levels[active], rho[active])}
         # Per scenario, the probability of its block (1 when deterministic).
-        if self.partition is None:
+        if partition is None:
             self.block_prob = np.ones(problem.space.size)
         else:
-            self.block_prob = self.partition.block_probs[self.partition.block_of]
+            self.block_prob = partition.block_probs[partition.block_of]
         # Box normal-cone generators, one per row on stacked coordinates:
         # -e_i where x sits at a lower bound, +e_i where it sits at an upper one.
-        flat = x_hat.vectors.ravel()
+        flat = x.ravel()
         lo, hi = problem.block_bounds()
         eye = np.eye(self.D)
         self.normals = np.concatenate(
@@ -509,23 +522,29 @@ class _ResidualGeometry:
             ]
         )
 
+    def _along(self, F: MaxAffineIntegrand, vals: np.ndarray, Z: np.ndarray, c: np.ndarray):
+        """(rows, tilt): F's selector at x_hat along -c and its rates over
+        P(B), as stacked coordinates pair blocks without P(B)."""
+        if not np.isfinite(c).all():
+            raise DomainError("pricing direction must be finite")
+        rows, rates = F._active_rows(vals, Z, F._rates(-c.reshape(self.x.shape), self.block_of))
+        return rows, rates / self.block_prob
+
     def objective_vertex(self, c: np.ndarray) -> np.ndarray:
         """Minimize <g, c> over the composite subdifferential polytope; the
         minimizer in stacked coordinates."""
-        minus_c = DecisionPoint(-c.reshape(self.x.vectors.shape), self.x.partition)
-        rule = _ChainRule(self.problem.objective, self.x, self.partition, minus_c)
-        # Stacked coordinates pair blocks without P(B): tilt by rates / P(B).
-        tilt = rule.rates / self.block_prob
-        zeta = spectral_identifier_lmo(rule.Z, self.problem.risk, tilt)
-        return rule.blocks(zeta).ravel()
+        problem = self.problem
+        rows, tilt = self._along(problem.objective, self.f_vals, self.Zf, c)
+        zeta = _spectral_zeta(self.Zf, problem.space.probs, problem.risk, tilt)
+        return _conditional_blocks(problem.space, problem.partition, zeta, rows).ravel()
 
     def constraint_vertex(self, p: float, c: np.ndarray) -> np.ndarray:
         """Minimize <d, c> over the level-p constraint subgradient polytope."""
-        minus_c = DecisionPoint(-c.reshape(self.x.vectors.shape), self.x.partition)
-        rule = _ChainRule(self.problem.constraint_integrand, self.x, self.partition, minus_c)
-        tilt = rule.rates / self.block_prob
-        zeta = avar_identifier_lmo(rule.Z, p, Orientation.LOWER, -tilt).zeta
-        return -rule.blocks(p * zeta).ravel()
+        problem, probs = self.problem, self.problem.space.probs
+        rows, tilt = self._along(problem.constraint_integrand, self.g_vals, self.Zg, c)
+        zeta = _greedy_fill(_greedy_order(self.Zg, Orientation.LOWER, -tilt), probs, p)
+        _check_identifier(probs, p, zeta)
+        return -_conditional_blocks(problem.space, problem.partition, p * zeta, rows).ravel()
 
 
 def _simplex_least_squares(M: np.ndarray, simplex: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -663,19 +682,21 @@ def certify(
     weights_p * rho_p| is the complementarity term that matches the
     residual's cone term, with rho_p = lorenz(Y, p) - lorenz(G(x_hat), p).
 
-    Returns the best residual found; never raises on a failed search, only
-    on a point outside the box or max_iters < 1 (DomainError).  The
-    certificate is accepted iff residual <= tol and c_gap <= tol.
+    Raises DomainError for tol or act_tol not finite >= 0, max_iters not an
+    integer >= 1 or x_hat outside the box, and StructuralError for an x_hat
+    of another dimension or partition (a deterministic one is repeated on
+    every block); never on a failed search.  The certificate is accepted iff
+    residual <= tol and c_gap <= tol.
     """
+    _check_arg("tol", tol, _NONNEGATIVE)
+    _check_arg("act_tol", act_tol, _NONNEGATIVE)
+    _check_arg("max_iters", max_iters, _COUNT)
+    x = _on_blocks(x_hat, problem.partition)
+    problem.objective._check_decision(x)
     lo, hi = problem.block_bounds()
-    flat = x_hat.vectors.ravel()
-    if np.any(flat < lo.ravel() - BOUND_ACTIVITY_TOL) or np.any(
-        flat > hi.ravel() + BOUND_ACTIVITY_TOL
-    ):
+    if np.any(x.vectors < lo - BOUND_ACTIVITY_TOL) or np.any(x.vectors > hi + BOUND_ACTIVITY_TOL):
         raise DomainError("certification point must lie inside the box")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
-    geom = _ResidualGeometry(problem, x_hat, act_tol)
+    geom = _ResidualGeometry(problem, x.vectors, act_tol)
     M, w, levels, gap, iters = _column_generation(geom, tol * tol / 4.0, max_iters)
     residual = float(np.linalg.norm(M @ w))
     k = len(geom.normals)

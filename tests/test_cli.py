@@ -265,6 +265,23 @@ class TestDiagnosticCodes:
         assert err.startswith("E_DOMAIN")
         assert out == ""
 
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
+    def test_certify_tolerance_is_a_domain_error(self, tol, capsys):
+        # tol = inf stopped the search at once and accepted i02's meta.x_hat
+        # with residual 1.0; tol = -1 rejected it with residual 0.0
+        argv = ["certify", "--problem", instance_path("i02_active_scalar"), f"--tol={tol}"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("E_DOMAIN: tol must be a finite number >= 0")
+        assert out == ""
+
+    def test_certify_zero_tolerance_runs(self, capsys):
+        code, out, _ = run(
+            ["certify", "--problem", instance_path("i02_active_scalar"), "--tol=0"], capsys
+        )
+        assert code == 0
+        assert report_of(out)["results"]["residual"] == 0.0
+
 
 class TestCommands:
     def test_eval_staircase_lorenz(self, capsys):

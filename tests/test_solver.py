@@ -7,6 +7,7 @@ import pytest
 from riskcalc import (
     ConfigurationError,
     Curvature,
+    DecisionPoint,
     DominanceConstraint,
     DomainError,
     MaxAffineIntegrand,
@@ -26,12 +27,18 @@ from riskcalc import (
     evaluate,
     InfoPartition,
     RandomVariable,
+    avar_identifier_lmo,
+    directional_derivative,
     lagrangian_value,
     nu_from_mu,
     solve,
+    spectral_identifier_lmo,
+    subgradient_selector,
     uniform_dominance_margin,
 )
 from riskcalc.cli import load_problem
+from riskcalc.composite import _conditional_blocks
+from riskcalc.solver import ACT_TOL, _ResidualGeometry
 from tests.conftest import (
     INSTANCE_DIR,
     abs_integrand,
@@ -181,6 +188,32 @@ class TestBruteForce:
     def test_resolution_must_be_positive(self):
         with pytest.raises(DomainError):
             brute_force_optimum(median_problem(), grid_resolution=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grid_resolution": float("nan")},
+            {"grid_resolution": float("inf")},
+            {"grid_resolution": -0.1},
+            {"grid_resolution": None},
+            {"chunk": 0},
+            {"chunk": -3},
+            {"chunk": 2.5},
+            {"chunk": True},
+        ],
+    )
+    def test_arguments_checked(self, kwargs):
+        # chunk = -3 scanned nothing and reported no feasible point; chunk = 0
+        # and a NaN resolution failed inside numpy
+        with pytest.raises(DomainError):
+            brute_force_optimum(load("i02_active_scalar").spec, **kwargs)
+
+    def test_small_chunks_change_nothing(self):
+        prob = forcing_problem()
+        whole = brute_force_optimum(prob, grid_resolution=0.01)
+        split = brute_force_optimum(prob, grid_resolution=0.01, chunk=np.int64(7))
+        assert (split.value, split.num_feasible) == (whole.value, whole.num_feasible)
+        assert split.x.vectors.tobytes() == whole.x.vectors.tobytes()
 
 
 class TestProblemSpecValidation:
@@ -364,6 +397,61 @@ class TestCertify:
             prob.constraint_integrand, deterministic(0.7), prob.constraint
         )
         assert margin == pytest.approx(-1.0 / 30.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": -1.0},
+            {"act_tol": float("nan")},
+            {"act_tol": -1.0},
+            {"act_tol": float("inf")},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"max_iters": 0},
+        ],
+    )
+    def test_tolerances_and_budget_checked(self, kwargs):
+        # tol = inf accepted any point and tol = -1 rejected an exact one; a
+        # NaN or negative act_tol dropped every active level; max_iters = 2.5
+        # failed with TypeError
+        with pytest.raises(DomainError):
+            certify(forcing_problem(), deterministic(1.0), **kwargs)
+
+    def test_boundary_tolerances_accepted(self):
+        cert = certify(
+            forcing_problem(), deterministic(1.0), tol=0, act_tol=np.float64(0.0),
+            max_iters=np.int64(3),
+        )
+        assert cert.levels == (1.0,)
+        assert cert.iterations <= 3
+
+    def test_deterministic_point_repeated_on_blocks(self):
+        # a deterministic point is the same decision in every block
+        prob = load("i05_block_medians").spec
+        for v in (0.5, 1.0, 1.7):
+            lifted = prob.decision(np.full((prob.num_blocks, prob.dim), v))
+            a = certify(prob, deterministic(np.full(prob.dim, v)))
+            assert certificate_bytes(a) == certificate_bytes(certify(prob, lifted))
+
+    def test_point_structure_checked(self):
+        prob = load("i05_block_medians").spec
+        space = prob.space
+        other = InfoPartition(space, tuple((k,) for k in range(space.size)))
+        bad = [
+            deterministic(np.ones(prob.dim + 1)),
+            DecisionPoint(np.ones((prob.num_blocks, prob.dim + 1)), prob.partition),
+            DecisionPoint(np.ones((space.size, prob.dim)), other),
+        ]
+        for x in bad:
+            with pytest.raises(StructuralError):
+                certify(prob, x)
+        # and a block-structured point on a deterministic problem
+        flat = forcing_problem()
+        halves = InfoPartition(flat.space, ((0,), (1,)))
+        with pytest.raises(StructuralError):
+            certify(flat, DecisionPoint(np.ones((2, 1)), halves))
 
     def test_deterministic_certificates(self):
         prob = forcing_problem()
@@ -607,3 +695,154 @@ class TestSolveOptionsChecked:
     def test_accepted_values(self):
         SolveOptions(iters=np.int64(5), gamma0=None, tol_feas=0)
         SolveOptions(iters=1, gamma0=1e-300, tol_feas=0.0)
+
+
+# ---------------------------------------------------------------------------
+# certify's array oracles against the same oracles on the public routes.
+
+
+def certificate_bytes(cert):
+    """Every Certificate field, as bytes or exact reprs."""
+    return (
+        repr(cert.kappa),
+        cert.levels,
+        tuple(map(repr, cert.weights)),
+        repr(cert.residual),
+        repr(cert.c_gap),
+        tuple((repr(p), repr(w)) for p, w in cert.nu),
+        cert.accepted,
+        cert.normal_part.tobytes(),
+        cert.normal_part.shape,
+        repr(cert.fw_gap),
+        cert.iterations,
+        repr(cert.tol),
+        repr(cert.act_tol),
+    )
+
+
+def certify_points(name):
+    """x_hat from meta (when the file has one) and from a 300-step solve."""
+    loaded = load(name)
+    spec = loaded.spec
+    points = [solve(spec, SolveOptions(iters=300)).x_hat]
+    if "x_hat" in loaded.meta:
+        rows = np.asarray(loaded.meta["x_hat"], dtype=float)
+        points.append(spec.decision(rows.reshape(spec.num_blocks, spec.dim)))
+    return spec, points
+
+
+def reference_vertices(problem, x, c):
+    """certify's two oracles through the public routes: the selector and
+    its rates along -c, the identifier LMO tilted by rates / P(B), and the
+    conditional block sums.  Returns (objective vertex, level -> vertex)."""
+    space, part = problem.space, problem.partition
+    minus_c = problem.decision(-c.reshape(x.vectors.shape))
+    block_prob = np.ones(space.size) if part is None else part.block_probs[part.block_of]
+
+    def along(F):
+        rows = subgradient_selector(F, x, minus_c).rows
+        return evaluate(F, x), rows, directional_derivative(F, x, minus_c).values / block_prob
+
+    Zf, rows, tilt = along(problem.objective)
+    zeta = spectral_identifier_lmo(Zf, problem.risk, tilt)
+    objective = _conditional_blocks(space, part, zeta, rows).ravel()
+    Zg, rows, tilt = along(problem.constraint_integrand)
+    constraint = {}
+    for p in problem.constraint.rho(Zg)[0]:
+        zeta = avar_identifier_lmo(Zg, float(p), Orientation.LOWER, -tilt).zeta
+        constraint[float(p)] = -_conditional_blocks(space, part, p * zeta, rows).ravel()
+    return objective, constraint
+
+
+def assert_vertices_match(problem, x, directions):
+    geom = _ResidualGeometry(problem, x.vectors, ACT_TOL)
+    for c in directions:
+        objective, constraint = reference_vertices(problem, x, c)
+        assert geom.objective_vertex(c).tobytes() == objective.tobytes()
+        for p, vertex in constraint.items():
+            assert geom.constraint_vertex(p, c).tobytes() == vertex.tobytes()
+
+
+class TestCertifyArrayPath:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_one_kernel_call_per_integrand(self, name, monkeypatch):
+        # one _pieces call for F and one for G at x_hat, one rates product
+        # per oracle call beyond those two, and never the checked route
+        spec, points = certify_points(name)
+        pieces, rates = MaxAffineIntegrand._pieces, MaxAffineIntegrand._rates
+        calls = {"pieces": [], "rates": 0, "oracles": 0}
+
+        def counted_pieces(self, *args):
+            calls["pieces"].append(self)
+            return pieces(self, *args)
+
+        def counted_rates(self, *args):
+            calls["rates"] += 1
+            return rates(self, *args)
+
+        def unexpected(self, *args, **kwargs):
+            raise AssertionError("certify went through the checked route")
+
+        def counted_oracle(method):
+            def oracle(self, *args):
+                calls["oracles"] += 1
+                return method(self, *args)
+
+            return oracle
+
+        monkeypatch.setattr(MaxAffineIntegrand, "_pieces", counted_pieces)
+        monkeypatch.setattr(MaxAffineIntegrand, "_rates", counted_rates)
+        monkeypatch.setattr(MaxAffineIntegrand, "_select", unexpected)
+        for method in ("objective_vertex", "constraint_vertex"):
+            original = getattr(_ResidualGeometry, method)
+            monkeypatch.setattr(_ResidualGeometry, method, counted_oracle(original))
+        for x in points:
+            calls.update(pieces=[], rates=0, oracles=0)
+            certify(spec, x)
+            assert sorted(map(id, calls["pieces"])) == sorted(
+                (id(spec.objective), id(spec.constraint_integrand))
+            )
+            # _pieces forms its values with one rates product of its own
+            assert calls["rates"] == calls["oracles"] + 2
+            assert calls["oracles"] >= 1
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_oracles_match_public_routes_on_instances(self, name):
+        rng = np.random.default_rng(11)
+        spec, points = certify_points(name)
+        directions = [np.zeros(spec.stacked_dim), rng.normal(size=spec.stacked_dim)]
+        for x in points:
+            assert_vertices_match(spec, x, directions)
+
+    def test_oracles_match_public_routes_on_random_problems(self):
+        # even problems have lattice coefficients, so at lattice points the
+        # piece values and G(x) tie
+        rng = np.random.default_rng(5)
+        blocks = set()
+        for i in range(24):
+            prob = random_problem(rng, i)
+            lattice = rng.integers(-2, 3, (prob.num_blocks, prob.dim)) / 2.0
+            uniform = rng.uniform(-1.0, 1.0, (prob.num_blocks, prob.dim))
+            directions = [np.zeros(prob.stacked_dim), rng.normal(size=prob.stacked_dim)]
+            for rows in (lattice, uniform):
+                assert_vertices_match(prob, prob.decision(rows), directions)
+            blocks.add(prob.partition is not None)
+        assert blocks == {True, False}
+
+    def test_oracles_tilt_by_rate_over_block_probability(self):
+        # every scenario ties at x = 0, in blocks of probability 1/3 and 2/3,
+        # so the identifiers fill the atom of largest rate / P(B): along the
+        # rates (1, 1.5, 1.5) that is scenario 0, not scenarios 1 and 2
+        space = equiprobable(3)
+        F = integrand(space, [[(1.0, 0.0)]] * 3)
+        G = integrand(space, [[(1.0, 0.0)]] * 3, Curvature.CONCAVE)
+        third = 1.0 / 3.0
+        C = DominanceConstraint(rv([-1.0] * 3), third, 1.0, (third, 1.0))
+        risk = SpectralMeasure.single_avar(third)
+        partition = InfoPartition(space, ((0,), (1, 2)))
+        prob = ProblemSpec(space, risk, F, G, C, -np.ones(1), np.ones(1), partition)
+        x = prob.decision(np.zeros((2, 1)))
+        c = np.array([-1.0, -1.5])
+        assert_vertices_match(prob, x, [c, -c, np.array([1.0, -1.5])])
+        geom = _ResidualGeometry(prob, x.vectors, ACT_TOL)
+        assert geom.objective_vertex(c).tolist() == [3.0, 0.0]

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .dominance import (
     DominanceConstraint,
+    _exact_margins,
     dominates_first_order,
     dominates_second_order,
 )
@@ -33,11 +34,9 @@ from .integrands import (
     evaluate,
 )
 from .quantiles import (
-    _lorenz_at,
     cdf,
     integrated_cdf,
     lorenz,
-    lorenz_breakpoints,
     lorenz_conjugate,
     quantile,
 )
@@ -53,13 +52,13 @@ from .scenario import (
     ProbSpace,
     RandomVariable,
     _running_sum,
-    _sum_ascending,
     equiprobable,
     expectation,
 )
 from .composite import composite_subgradient, composite_value
 from .solver import (
     _OPTION_RULES,
+    _check_arg,
     CERT_TOL,
     TOL_FEAS,
     ProblemSpec,
@@ -89,26 +88,15 @@ def _format_float(x: float) -> str:
     return s
 
 
-def _plain(obj):
-    """Normalize numpy containers/scalars to built-in types."""
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def dumps_report(obj, indent: int = 0) -> str:
+    """``obj`` as report text; numpy arrays and scalars print as the
+    built-in lists and numbers they hold."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -173,7 +161,7 @@ def _parse_space(doc: dict) -> ProbSpace:
     for i, p in enumerate(probs):
         if p <= 0.0:
             _fail("E_PROB_POSITIVE", f"space.probs[{i}]", "probabilities must be positive")
-    total = _sum_ascending(probs)
+    total = _running_sum(np.array(probs))
     if abs(total - 1.0) > PROB_FILE_SUM_TOL:
         _fail("E_PROB_SUM", "space.probs", f"probabilities sum to {total!r}, not 1")
     labels = sec.get("labels", [])
@@ -417,12 +405,6 @@ def load_problem(path: str) -> LoadedProblem:
     return LoadedProblem(spec, options, meta, digest, name)
 
 
-def parse_problem(path: str) -> ProblemSpec:
-    """Parse and fully validate a problem file; raises ProblemFormatError
-    with a stable code and field path on any defect."""
-    return load_problem(path).spec
-
-
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -500,10 +482,7 @@ def _cmd_dominance(args, loaded: LoadedProblem) -> tuple[int, dict]:
         X = RandomVariable(Y.space, np.array(values))
     else:
         X = Y
-    atoms = np.unique(np.concatenate([X.values, Y.values]))
-    fo_margin = min(cdf(Y, float(a)) - cdf(X, float(a)) for a in atoms)
-    bps = np.unique(np.concatenate([lorenz_breakpoints(X), lorenz_breakpoints(Y)]))
-    so_margin = min((_lorenz_at(X, bps) - _lorenz_at(Y, bps)).tolist())
+    fo_margin, so_margin = _exact_margins(X, Y)
     results = {
         "first_order": dominates_first_order(X, Y),
         "second_order": dominates_second_order(X, Y),
@@ -515,7 +494,7 @@ def _cmd_dominance(args, loaded: LoadedProblem) -> tuple[int, dict]:
 
 def _solution_dict(sol) -> dict:
     return {
-        "x_hat": _plain(sol.x_hat.vectors),
+        "x_hat": sol.x_hat.vectors,
         "objective": sol.objective_value,
         "max_violation": sol.max_violation,
         "feasible": sol.feasible,
@@ -524,11 +503,14 @@ def _solution_dict(sol) -> dict:
     }
 
 
-def _cmd_solve(args, loaded: LoadedProblem) -> tuple[int, dict]:
+def _solve_options(args, loaded: LoadedProblem) -> SolveOptions:
+    """The file's solver options, with ``--iters`` as the budget if given."""
     opts = loaded.options
-    if args.iters is not None:
-        opts = dataclasses.replace(opts, iters=args.iters)
-    sol = solve(loaded.spec, opts)
+    return opts if args.iters is None else dataclasses.replace(opts, iters=args.iters)
+
+
+def _cmd_solve(args, loaded: LoadedProblem) -> tuple[int, dict]:
+    sol = solve(loaded.spec, _solve_options(args, loaded))
     return (0 if sol.feasible else 1), _solution_dict(sol)
 
 
@@ -542,16 +524,11 @@ def _cmd_certify(args, loaded: LoadedProblem) -> tuple[int, dict]:
         x_hat = _decision_from_flat(problem, loaded.meta["x_hat"], "meta.x_hat")
         source = "meta"
     else:
-        opts = loaded.options
-        if args.iters is not None:
-            opts = dataclasses.replace(opts, iters=args.iters)
-        sol = solve(problem, opts)
-        x_hat = sol.x_hat
+        x_hat = solve(problem, _solve_options(args, loaded)).x_hat
         source = "solve"
-    tol = args.tol if args.tol is not None else CERT_TOL
-    cert = certify(problem, x_hat, tol=tol)
+    cert = certify(problem, x_hat, tol=args.tol)
     results = {
-        "x_hat": _plain(x_hat.vectors),
+        "x_hat": x_hat.vectors,
         "x_source": source,
         "kappa": cert.kappa,
         "levels": list(cert.levels),
@@ -564,6 +541,10 @@ def _cmd_certify(args, loaded: LoadedProblem) -> tuple[int, dict]:
         "fw_iterations": cert.iterations,
     }
     return (0 if cert.accepted else 1), results
+
+
+# --seed's rule, as in solver._OPTION_RULES (argparse has made it an int).
+_SEED = (lambda v: v >= 0, "an integer >= 0")
 
 
 def _selftest_checks(seed: int) -> list[dict]:
@@ -664,11 +645,11 @@ def _selftest_checks(seed: int) -> list[dict]:
 
 
 def _cmd_selftest(args, loaded) -> tuple[int, dict]:
-    seed = args.seed if args.seed is not None else 0
-    checks = _selftest_checks(seed)
+    _check_arg("seed", args.seed, _SEED)
+    checks = _selftest_checks(args.seed)
     all_passed = all(c["passed"] for c in checks)
     return (0 if all_passed else 1), {
-        "seed": seed,
+        "seed": args.seed,
         "checks": checks,
         "all_passed": all_passed,
     }
@@ -683,34 +664,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_problem: bool):
-        p.add_argument("--problem", required=needs_problem, help="problem file (JSON)")
+    def command(name: str, summary: str, *, problem: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        if problem:
+            p.add_argument("--problem", required=True, help="problem file (JSON)")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--tol", type=float, help="certification tolerance")
-        p.add_argument("--iters", type=int, help="iteration budget override")
-        p.add_argument("--seed", type=int, help="seed for the selftest suites")
+        return p
 
-    p_eval = sub.add_parser("eval", help="evaluate distribution functions of the benchmark")
-    common(p_eval, True)
+    p_eval = command("eval", "evaluate distribution functions of the benchmark")
     p_eval.add_argument("--cdf", action="append", help="eta value, e.g. eta=1.5")
     p_eval.add_argument("--quantile", action="append", help="probability level, e.g. p=0.5")
     p_eval.add_argument("--integrated", action="append", help="eta value")
     p_eval.add_argument("--lorenz", action="append", help="probability level, e.g. p=0.5")
     p_eval.add_argument("--avar", action="append", help="probability level")
 
-    p_dom = sub.add_parser("dominance", help="stochastic dominance verdicts and margins")
-    common(p_dom, True)
+    p_dom = command("dominance", "stochastic dominance verdicts and margins")
     p_dom.add_argument("--compare", help="comma-separated values to compare against the benchmark")
 
-    p_solve = sub.add_parser("solve", help="solve the problem")
-    common(p_solve, True)
-
-    p_cert = sub.add_parser("certify", help="certify a candidate optimum")
-    common(p_cert, True)
+    p_solve = command("solve", "solve the problem")
+    p_cert = command("certify", "certify a candidate optimum")
+    for p in (p_solve, p_cert):
+        p.add_argument("--iters", type=int, help="override the file's iteration budget")
+    p_cert.add_argument("--tol", type=float, default=CERT_TOL, help="certification tolerance")
     p_cert.add_argument("--x", help="comma-separated decision coordinates (stacked blocks)")
 
-    p_self = sub.add_parser("selftest", help="run reduced property suites")
-    common(p_self, False)
+    p_self = command("selftest", "run reduced property suites", problem=False)
+    p_self.add_argument("--seed", type=int, default=0, help="seed for the suites")
     return parser
 
 
@@ -726,6 +705,10 @@ _HANDLERS = {
 def run_command(argv: list[str]) -> int:
     """Dispatch one CLI invocation; writes the report, returns the exit code.
 
+    Each subcommand takes only the flags it reads; argparse rejects any
+    other flag, or a missing ``--problem``, with exit 2.  Without ``--tol``
+    the report's ``tolerances.tol`` shows CERT_TOL.
+
     0: success; 1: infeasible, uncertified, or failed selftest; 2: unusable
     input (bad file, bad flags, domain errors); 3: internal invariant
     violation (a bug, reported as ``E_INVARIANT: <message>`` on stderr) or
@@ -738,9 +721,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        loaded = load_problem(args.problem) if args.problem else None
-        if args.command != "selftest" and loaded is None:
-            _fail("E_USAGE", "--problem", "this command needs a problem file")
+        loaded = load_problem(args.problem) if "problem" in args else None
         code, results = _HANDLERS[args.command](args, loaded)
     except ProblemFormatError as exc:
         print(f"{exc.code} at {exc.path}: {exc.detail}", file=sys.stderr)
@@ -760,10 +741,10 @@ def run_command(argv: list[str]) -> int:
             "argv": list(argv),
         },
         "tolerances": {
-            "tol": args.tol if args.tol is not None else CERT_TOL,
+            "tol": getattr(args, "tol", CERT_TOL),
             "tol_feas": loaded.options.tol_feas if loaded else TOL_FEAS,
         },
-        "results": _plain(results),
+        "results": results,
     }
     text = dumps_report(report) + "\n"
     if args.out:

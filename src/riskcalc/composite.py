@@ -45,7 +45,6 @@ from .scenario import (
     RandomVariable,
     _readonly,
     _running_sum,
-    _sum_ascending,
 )
 
 
@@ -79,10 +78,8 @@ class CompositeGradient:
         if self.partition is None:
             return float(self.vectors[0] @ delta.vectors[0])
         weights = self.partition.block_probs
-        return _sum_ascending(
-            weights[j] * float(self.vectors[j] @ delta.vectors[j])
-            for j in range(len(weights))
-        )
+        dots = [float(g @ d) for g, d in zip(self.vectors, delta.vectors)]
+        return _running_sum(weights * np.array(dots))
 
 
 def _require_objective_pair(risk: SpectralMeasure, F: MaxAffineIntegrand):

@@ -4,7 +4,9 @@ constraints.
 First- and second-order dominance each run two logically equivalent routes
 (the distribution side and the quantile side); a disagreement raises an
 invariant violation, acting as a built-in bug trap for the duality between
-the integrated CDF and the Lorenz function.
+the integrated CDF and the Lorenz function.  ``_exact_margins`` gives the
+smallest gap of each order's compared functions, exact and rounded once, so
+a margin's sign is its verdict.
 
 The interval constraint "rho_p <= 0 for all p in [alpha, beta]" is reduced to
 finitely many levels: both Lorenz functions are piecewise linear with
@@ -18,6 +20,7 @@ negated: rho_p falls as G(x) rises.  certify forms it on arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -226,6 +229,25 @@ def dominates_second_order(X: RandomVariable, Y: RandomVariable) -> bool:
             f"(integrated-CDF: {direct}, Lorenz: {inverse})"
         )
     return direct
+
+
+def _exact_margins(X: RandomVariable, Y: RandomVariable) -> tuple[float, float]:
+    """(min of H_Y - H_X over the merged atoms, min of lorenz_X - lorenz_Y
+    over the merged breakpoints), each rounded to a float once: >= 0 exactly
+    when that order of dominance holds.  A negative gap too small for any
+    float rounds to the smallest negative float, not to -0.0."""
+    px, py = _exact_distribution(X), _exact_distribution(Y)
+    atoms, levels = _merged_atoms(px, py), _merged_breakpoints(px, py)
+    first = min(
+        hy - hx for (hx, _), (hy, _) in zip(_exact_below(px, atoms), _exact_below(py, atoms))
+    )
+    second = min(a - b for a, b in zip(_exact_lorenzes(px, levels), _exact_lorenzes(py, levels)))
+    return _rounded(first), _rounded(second)
+
+
+def _rounded(gap: Fraction) -> float:
+    out = float(gap)
+    return -math.ulp(0.0) if gap < 0 and out == 0.0 else out
 
 
 def _require_concave(G: MaxAffineIntegrand):

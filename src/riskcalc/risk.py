@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, StructuralError
 from .quantiles import _lorenz_prefix, _Prefix, sorted_view
-from .scenario import ProbSpace, RandomVariable, _running_sum, _sum_ascending, expectation
+from .scenario import ProbSpace, RandomVariable, _running_sum, expectation
 
 # Identifier feasibility is enforced to this absolute tolerance.
 IDENTIFIER_TOL = 1e-10
@@ -219,7 +219,7 @@ class SpectralMeasure:
             raise StructuralError("levels must be strictly increasing")
         if any(w < 0.0 or not math.isfinite(w) for w in weights):
             raise DomainError("weights must be nonnegative and finite")
-        total = _sum_ascending(weights)
+        total = _running_sum(np.array(weights))
         if abs(total - 1.0) > SPECTRAL_WEIGHT_TOL:
             raise DomainError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "levels", levels)
@@ -244,7 +244,7 @@ def _spectral_value(pre: _Prefix, mean: float, measure: SpectralMeasure) -> floa
     """sum_i weights[i] * AVaR_{levels[i]}(Z) from Z's mean and prefix
     arrays, summed in level order."""
     avars = _avars(pre, mean, np.array(measure.levels), measure.orientation)
-    return _sum_ascending(np.array(measure.weights) * avars)
+    return _running_sum(np.array(measure.weights) * avars)
 
 
 def spectral_risk(Z: RandomVariable, measure: SpectralMeasure) -> float:

@@ -24,14 +24,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sum_ascending(values) -> float:
-    """Plain left-to-right accumulation in index order (short iterables)."""
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return total
-
-
 def _check_finite(values: np.ndarray):
     """The finiteness check of every random variable's values."""
     if not np.isfinite(values).all():
@@ -40,9 +32,11 @@ def _check_finite(values: np.ndarray):
 
 def _running_sum(terms: np.ndarray):
     """0 + terms[0] + terms[1] + ... over the first axis (a float for a
-    vector): the last row of a cumulative sum, which numpy adds in order.
-    Adding the zero last gives the bits of ``_sum_ascending``: it only turns
-    a -0.0 sum into 0.0."""
+    vector; 0.0 for no terms): the last row of a cumulative sum, which numpy
+    adds in order.  Adding the zero last rather than first changes no bit:
+    it only turns a -0.0 sum into 0.0."""
+    if not len(terms):
+        return 0.0
     total = terms.cumsum(axis=0)[-1] + 0.0
     return float(total) if total.ndim == 0 else total
 

@@ -81,7 +81,6 @@ from .scenario import (
     ProbSpace,
     _check_finite,
     _running_sum,
-    _sum_ascending,
 )
 
 # Residual search defaults.
@@ -455,7 +454,7 @@ def lagrangian_value(
         raise DomainError("multiplier measure must be supported in [alpha, beta]")
     base = composite_value(problem.risk, problem.objective, x)
     Zg = evaluate(problem.constraint_integrand, x)
-    lorenz_mix = _sum_ascending(w * lorenz(Zg, p) for p, w in zip(mu.levels, mu.weights))
+    lorenz_mix = _running_sum(np.array([w * lorenz(Zg, p) for p, w in zip(mu.levels, mu.weights)]))
     return base - kappa * lorenz_mix
 
 
@@ -560,7 +559,7 @@ def _simplex_least_squares(M: np.ndarray, simplex: np.ndarray, free: np.ndarray)
     B = M[:, rest] - np.outer(M[:, first], simplex[rest])
     z = np.zeros(M.shape[1])
     z[rest] = np.linalg.lstsq(B, -M[:, first], rcond=None)[0]
-    z[first] = 1.0 - _sum_ascending(z[rest][simplex[rest]])
+    z[first] = 1.0 - _running_sum(z[rest][simplex[rest]])
     # A conic weight whose column adds only rounding to M z is zero.
     share = np.abs(z) * np.linalg.norm(M, axis=0)
     z[~simplex & (share <= CONIC_ZERO_TOL * share.sum())] = 0.0
@@ -705,11 +704,11 @@ def certify(
     for wj, level in zip(w[k:], levels):
         if level is not None and wj > 0.0:
             eta[level] = eta.get(level, 0.0) + float(wj)
-    kappa = _sum_ascending(eta.values())
+    kappa = _running_sum(np.array(list(eta.values())))
     support = sorted(eta) if kappa > tol else []
     weights = [eta[p] / kappa for p in support]
     c_gap = abs(
-        kappa * _sum_ascending(wt * geom.active_rho[p] for p, wt in zip(support, weights))
+        kappa * _running_sum(np.array([wt * geom.active_rho[p] for p, wt in zip(support, weights)]))
     )
     nu = tuple((p, (kappa / p) * wt) for p, wt in zip(support, weights))
     accepted = residual <= tol and c_gap <= tol

@@ -1,13 +1,16 @@
+import argparse
 import copy
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
 from riskcalc import cli
 from riskcalc.cli import load_problem, run_command
 from riskcalc.errors import InvariantViolation, ProblemFormatError
+from riskcalc.solver import CERT_TOL
 from tests.conftest import instance_path
 
 
@@ -283,6 +286,57 @@ class TestDiagnosticCodes:
         assert report_of(out)["results"]["residual"] == 0.0
 
 
+class TestFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    FLAGS = {
+        "eval": {"--problem", "--out", "--cdf", "--quantile", "--integrated", "--lorenz", "--avar"},
+        "dominance": {"--problem", "--out", "--compare"},
+        "solve": {"--problem", "--out", "--iters"},
+        "certify": {"--problem", "--out", "--iters", "--tol", "--x"},
+        "selftest": {"--out", "--seed"},
+    }
+
+    def test_each_subcommand_has_exactly_its_flags(self):
+        (subparsers,) = [
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert found == self.FLAGS
+        assert sum(map(len, found.values())) == 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--problem", instance_path("median"), "--tol=nan"],
+            ["solve", "--problem", instance_path("median"), "--tol=-5", "--iters", "10"],
+            ["dominance", "--problem", instance_path("median"), "--iters", "3"],
+            ["certify", "--problem", instance_path("median"), "--seed", "1"],
+            ["selftest", "--problem", instance_path("median")],
+            ["selftest", "--tol", "1"],
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert out == ""
+
+    def test_report_shows_the_default_tolerance_without_a_tol_flag(self, capsys):
+        code, out, _ = run(["solve", "--problem", instance_path("median"), "--iters", "10"], capsys)
+        assert code == 0
+        assert report_of(out)["tolerances"]["tol"] == CERT_TOL
+
+    def test_negative_seed_is_a_domain_error(self, capsys):
+        code, out, err = run(["selftest", "--seed", "-1"], capsys)
+        assert code == 2
+        assert err == "E_DOMAIN: seed must be an integer >= 0, got -1\n"
+        assert out == ""
+
+
 class TestCommands:
     def test_eval_staircase_lorenz(self, capsys):
         code, out, _ = run(
@@ -353,6 +407,25 @@ class TestCommands:
         res = report_of(out)["results"]
         assert res["first_order"] is True and res["second_order"] is True
         assert res["second_order_margin"] > 0
+
+    def test_dominance_margin_sign_is_the_verdict(self, tmp_path, capsys):
+        # float Lorenz values put this margin at -1.1e-16 next to a true
+        # verdict; the exact gap is 1/(3 * 2**54)
+        doc = minimal_doc()
+        doc["space"]["probs"] = [1 / 3] * 3
+        for side in ("objective", "constraint"):
+            doc[side]["integrand"] = [[{"a": [1.0], "b": 0.0}]] * 3
+        doc["constraint"]["benchmark"] = [-2.9, -0.0, 2.8]
+        path = write_doc(str(tmp_path), doc)
+        code, out, _ = run(
+            ["dominance", "--problem", path, "--compare=-1.3,1.5,-0.3"], capsys
+        )
+        assert code == 0
+        res = report_of(out)["results"]
+        assert res["second_order"] is True
+        assert res["second_order_margin"] == float(Fraction(1, 54043195528445952))
+        assert res["first_order"] is False
+        assert res["first_order_margin"] < 0
 
     def test_dominance_compare_length_checked(self, capsys):
         code, _, err = run(

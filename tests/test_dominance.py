@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from riskcalc import (
     lorenz_breakpoints,
     uniform_dominance_margin,
 )
+from riskcalc.dominance import _exact_margins
 from tests.conftest import integrand, point, random_space, rv
 
 
@@ -94,6 +97,79 @@ class TestSecondOrder:
                 hits += 1
             dominates_first_order(X, Y)
         assert hits > 0
+
+
+def brute_margins(X, Y):
+    """Both dominance gaps as Fractions, straight from their definitions:
+    min of P(Y <= a) - P(X <= a) over the atoms, and min of
+    lorenz_X - lorenz_Y over the cumulative probabilities."""
+
+    def pairs(Z):
+        probs = [Fraction(float(p)) for p in Z.space.probs]
+        total = sum(probs)
+        return sorted((Fraction(float(v)), p / total) for v, p in zip(Z.values, probs))
+
+    def below(ps, a):
+        return sum((p for v, p in ps if v <= a), Fraction(0))
+
+    def lorenz_exact(ps, level):
+        out, before = Fraction(0), Fraction(0)
+        for v, p in ps:
+            out += v * min(p, max(Fraction(0), level - before))
+            before += p
+        return out
+
+    px, py = pairs(X), pairs(Y)
+    atoms = {v for v, _ in px + py}
+    levels = {sum(p for _, p in ps[: k + 1]) for ps in (px, py) for k in range(len(ps))}
+    first = min(below(py, a) - below(px, a) for a in atoms)
+    second = min(lorenz_exact(px, q) - lorenz_exact(py, q) for q in levels)
+    return first, second
+
+
+class TestExactMargins:
+    """The margins the CLI reports: exact gaps rounded once, so that each
+    margin's sign is its verdict."""
+
+    def pairs(self, rng, count):
+        for k in range(count):
+            n = int(rng.integers(1, 9))
+            space = equiprobable(n) if k % 2 else random_space(rng, n)
+            Y = RandomVariable(space, np.round(rng.uniform(-3.0, 3.0, n), 1))
+            kind = k % 3
+            if kind == 0:
+                x = np.round(rng.uniform(-3.0, 3.0, n), 1)
+            elif kind == 1:
+                x = Y.values + np.round(rng.uniform(-0.3, 0.3), 1)
+            else:
+                toward = np.where(rng.random(n) < 0.5, -np.inf, np.inf)
+                x = np.nextafter(Y.values, toward)
+            yield RandomVariable(space, x), Y
+
+    def test_signs_match_the_verdicts(self):
+        rng = np.random.default_rng(93)
+        held = [0, 0]
+        for X, Y in self.pairs(rng, 2400):
+            first, second = _exact_margins(X, Y)
+            fo, so = dominates_first_order(X, Y), dominates_second_order(X, Y)
+            assert (first >= 0.0) == fo
+            assert (second >= 0.0) == so
+            held[0] += fo
+            held[1] += so
+        assert 0 < held[0] < held[1] < 2400
+
+    def test_values_are_the_rounded_exact_gaps(self):
+        rng = np.random.default_rng(94)
+        underflows = 0
+        for X, Y in self.pairs(rng, 600):
+            for margin, gap in zip(_exact_margins(X, Y), brute_margins(X, Y)):
+                if gap < 0 and float(gap) == 0.0:
+                    # too small for a float: the sign is kept, not the value
+                    assert margin == -np.nextafter(0.0, 1.0)
+                    underflows += 1
+                else:
+                    assert margin == float(gap)
+        assert underflows > 0
 
 
 def make_constraint(Y_vals, alpha, beta, grid):

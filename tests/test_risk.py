@@ -23,7 +23,6 @@ from riskcalc import (
     SpectralMeasure,
 )
 from riskcalc.risk import IDENTIFIER_TOL, _greedy_identifier
-from riskcalc.scenario import _sum_ascending
 from tests.conftest import (
     oracle_avar_lower,
     oracle_avar_upper,
@@ -397,7 +396,9 @@ def loop_identifier(Z, p, orientation, tilt):
         take = min(probs[k], remaining)
         zeta[k] = cap * (take / probs[k])
         remaining -= take
-    mean = _sum_ascending(probs * zeta)
+    mean = 0.0
+    for term in probs * zeta:
+        mean += float(term)
     if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
         zeta /= mean
     return zeta

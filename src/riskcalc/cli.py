@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .dominance import (
     DominanceConstraint,
-    _exact_margins,
+    _first_order,
+    _second_order,
     dominates_first_order,
     dominates_second_order,
 )
@@ -31,7 +32,6 @@ from .integrands import (
     MaxAffineIntegrand,
     differential_quotient,
     directional_derivative,
-    evaluate,
 )
 from .quantiles import (
     cdf,
@@ -48,6 +48,7 @@ from .risk import (
     avar_upper,
 )
 from .scenario import (
+    PROB_SUM_TOL,
     InfoPartition,
     ProbSpace,
     RandomVariable,
@@ -66,9 +67,6 @@ from .solver import (
     certify,
     solve,
 )
-
-PROB_FILE_SUM_TOL = 1e-12
-
 
 # --------------------------------------------------------------------------
 # Report serialization: deterministic layout, 17-significant-digit floats.
@@ -162,7 +160,7 @@ def _parse_space(doc: dict) -> ProbSpace:
         if p <= 0.0:
             _fail("E_PROB_POSITIVE", f"space.probs[{i}]", "probabilities must be positive")
     total = _running_sum(np.array(probs))
-    if abs(total - 1.0) > PROB_FILE_SUM_TOL:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         _fail("E_PROB_SUM", "space.probs", f"probabilities sum to {total!r}, not 1")
     labels = sec.get("labels", [])
     if labels and (
@@ -418,6 +416,11 @@ def _point_value(text: str, path: str) -> float:
         _fail("E_USAGE", path, f"cannot parse number from {text!r}")
 
 
+def _point_list(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of ``flag``; an empty entry is an error."""
+    return [_point_value(t, flag) for t in text.split(",")]
+
+
 def _decision_from_flat(problem: ProblemSpec, values: list[float], path: str) -> DecisionPoint:
     if len(values) != problem.stacked_dim:
         _fail(
@@ -469,10 +472,8 @@ def _cmd_eval(args, loaded: LoadedProblem) -> tuple[int, dict]:
 
 def _cmd_dominance(args, loaded: LoadedProblem) -> tuple[int, dict]:
     Y = loaded.spec.constraint.benchmark
-    if args.compare:
-        values = [
-            _point_value(t, "--compare") for t in args.compare.split(",") if t.strip()
-        ]
+    if args.compare is not None:
+        values = _point_list(args.compare, "--compare")
         if len(values) != Y.space.size:
             _fail(
                 "E_DIMENSION",
@@ -482,12 +483,13 @@ def _cmd_dominance(args, loaded: LoadedProblem) -> tuple[int, dict]:
         X = RandomVariable(Y.space, np.array(values))
     else:
         X = Y
-    fo_margin, so_margin = _exact_margins(X, Y)
+    first, first_margin = _first_order(X, Y)
+    second, second_margin = _second_order(X, Y)
     results = {
-        "first_order": dominates_first_order(X, Y),
-        "second_order": dominates_second_order(X, Y),
-        "first_order_margin": fo_margin,
-        "second_order_margin": so_margin,
+        "first_order": first,
+        "second_order": second,
+        "first_order_margin": first_margin,
+        "second_order_margin": second_margin,
     }
     return 0, results
 
@@ -516,9 +518,8 @@ def _cmd_solve(args, loaded: LoadedProblem) -> tuple[int, dict]:
 
 def _cmd_certify(args, loaded: LoadedProblem) -> tuple[int, dict]:
     problem = loaded.spec
-    if args.x:
-        values = [_point_value(t, "--x") for t in args.x.split(",") if t.strip()]
-        x_hat = _decision_from_flat(problem, values, "--x")
+    if args.x is not None:
+        x_hat = _decision_from_flat(problem, _point_list(args.x, "--x"), "--x")
         source = "flag"
     elif "x_hat" in loaded.meta:
         x_hat = _decision_from_flat(problem, loaded.meta["x_hat"], "meta.x_hat")

@@ -2,11 +2,13 @@
 constraints.
 
 First- and second-order dominance each run two logically equivalent routes
-(the distribution side and the quantile side); a disagreement raises an
-invariant violation, acting as a built-in bug trap for the duality between
-the integrated CDF and the Lorenz function.  ``_exact_margins`` gives the
-smallest gap of each order's compared functions, exact and rounded once, so
-a margin's sign is its verdict.
+(the distribution side and the quantile side) in one exact pass,
+``_first_order`` and ``_second_order``; a disagreement raises an invariant
+violation, acting as a built-in bug trap for the duality between the
+integrated CDF and the Lorenz function.  Each pass also returns its margin:
+the smallest gap that one of its routes compares (the distribution gap in
+the first order, the Lorenz gap in the second), rounded once, so a margin's
+sign is its verdict.
 
 The interval constraint "rho_p <= 0 for all p in [alpha, beta]" is reduced to
 finitely many levels: both Lorenz functions are piecewise linear with
@@ -24,13 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InvariantViolation, StructuralError
 from .composite import _conditional_blocks, _on_blocks
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
-from .quantiles import _lorenz_at, _lorenz_prefix, _Prefix, sorted_view
+from .quantiles import _lorenz_prefix, _Prefix, sorted_view
 from .risk import lorenz_supergradient
 from .scenario import InfoPartition, RandomVariable
 
@@ -133,12 +136,13 @@ class DominanceConstraint:
 
 
 def _exact_distribution(Z: RandomVariable) -> list[tuple[Fraction, Fraction]]:
-    """(value, probability) pairs sorted by value, mass renormalized to 1."""
+    """(value, probability) pairs sorted by value, then by probability (the
+    floats are sorted, not the Fractions, in the same order), mass
+    renormalized to 1."""
     probs = [Fraction(float(p)) for p in Z.space.probs]
     total = sum(probs)
-    return sorted(
-        (Fraction(float(v)), p / total) for v, p in zip(Z.values, probs)
-    )
+    order = np.lexsort((Z.space.probs, Z.values)).tolist()
+    return [(Fraction(float(Z.values[k])), probs[k] / total) for k in order]
 
 
 def _exact_below(pairs, points) -> list[tuple[Fraction, Fraction]]:
@@ -173,98 +177,84 @@ def _exact_lorenzes(pairs, levels) -> list[Fraction]:
     return out
 
 
-def _merged_atoms(px, py) -> list[Fraction]:
-    return sorted({v for v, _ in px} | {v for v, _ in py})
-
-
-def _merged_breakpoints(px, py) -> list[Fraction]:
-    out = set()
-    for pairs in (px, py):
-        acc = Fraction(0)
-        for _, p in pairs:
-            acc += p
-            out.add(acc)
-    return sorted(out)
-
-
-def dominates_first_order(X: RandomVariable, Y: RandomVariable) -> bool:
-    """X dominates Y in the first order (every nondecreasing utility prefers X).
-
-    Distribution route: H_X <= H_Y on the merged atoms.  Quantile route:
-    quantile_X >= quantile_Y on the merged cumulative breakpoints.  Both are
-    exact for step functions; they must agree.
-    """
+def _exact_points(X: RandomVariable, Y: RandomVariable):
+    """Both exact distributions, their merged atoms and their merged
+    cumulative breakpoints, each ascending."""
     px, py = _exact_distribution(X), _exact_distribution(Y)
-    atoms, levels = _merged_atoms(px, py), _merged_breakpoints(px, py)
+    atoms = sorted({v for v, _ in px} | {v for v, _ in py})
+    levels = sorted(set(accumulate(p for _, p in px)) | set(accumulate(p for _, p in py)))
+    return px, py, atoms, levels
+
+
+def _first_order(X: RandomVariable, Y: RandomVariable) -> tuple[bool, float]:
+    """(X dominates Y in the first order, min of H_Y - H_X over the merged
+    atoms).
+
+    Distribution route: that gap is >= 0.  Quantile route: quantile_X >=
+    quantile_Y on the merged cumulative breakpoints.  Both are exact for step
+    functions; they must agree.
+    """
+    px, py, atoms, levels = _exact_points(X, Y)
     below_x, below_y = _exact_below(px, atoms), _exact_below(py, atoms)
-    direct = all(hx <= hy for (hx, _), (hy, _) in zip(below_x, below_y))
+    gap = min(hy - hx for (hx, _), (hy, _) in zip(below_x, below_y))
+    direct = gap >= 0
     inverse = all(a >= b for a, b in zip(_exact_quantiles(px, levels), _exact_quantiles(py, levels)))
     if direct != inverse:
         raise InvariantViolation(
             "first-order dominance routes disagree "
             f"(distribution: {direct}, quantile: {inverse})"
         )
-    return direct
+    return direct, _rounded(gap)
 
 
-def dominates_second_order(X: RandomVariable, Y: RandomVariable) -> bool:
-    """X dominates Y in the second order (every risk-averse utility prefers X).
+def _second_order(X: RandomVariable, Y: RandomVariable) -> tuple[bool, float]:
+    """(X dominates Y in the second order, min of lorenz_X - lorenz_Y over
+    the merged cumulative breakpoints).
 
     Direct route: integrated_cdf_X <= integrated_cdf_Y on the merged atoms
     (both sides are piecewise linear in eta with breakpoints at atoms).
-    Inverse route: lorenz_X >= lorenz_Y on the merged cumulative breakpoints.
-    The routes are conjugate-dual and must agree.
+    Inverse route: the Lorenz gap is >= 0.  The routes are conjugate-dual
+    and must agree.
     """
-    px, py = _exact_distribution(X), _exact_distribution(Y)
-    atoms, levels = _merged_atoms(px, py), _merged_breakpoints(px, py)
+    px, py, atoms, levels = _exact_points(X, Y)
     below_x, below_y = _exact_below(px, atoms), _exact_below(py, atoms)
     direct = all(
         eta * hx - mx <= eta * hy - my
         for eta, (hx, mx), (hy, my) in zip(atoms, below_x, below_y)
     )
-    inverse = all(a >= b for a, b in zip(_exact_lorenzes(px, levels), _exact_lorenzes(py, levels)))
+    gap = min(a - b for a, b in zip(_exact_lorenzes(px, levels), _exact_lorenzes(py, levels)))
+    inverse = gap >= 0
     if direct != inverse:
         raise InvariantViolation(
             "second-order dominance routes disagree "
             f"(integrated-CDF: {direct}, Lorenz: {inverse})"
         )
-    return direct
-
-
-def _exact_margins(X: RandomVariable, Y: RandomVariable) -> tuple[float, float]:
-    """(min of H_Y - H_X over the merged atoms, min of lorenz_X - lorenz_Y
-    over the merged breakpoints), each rounded to a float once: >= 0 exactly
-    when that order of dominance holds.  A negative gap too small for any
-    float rounds to the smallest negative float, not to -0.0."""
-    px, py = _exact_distribution(X), _exact_distribution(Y)
-    atoms, levels = _merged_atoms(px, py), _merged_breakpoints(px, py)
-    first = min(
-        hy - hx for (hx, _), (hy, _) in zip(_exact_below(px, atoms), _exact_below(py, atoms))
-    )
-    second = min(a - b for a, b in zip(_exact_lorenzes(px, levels), _exact_lorenzes(py, levels)))
-    return _rounded(first), _rounded(second)
+    return direct, _rounded(gap)
 
 
 def _rounded(gap: Fraction) -> float:
+    """The gap rounded to a float once; a negative gap too small for any
+    float rounds to the smallest negative float, not to -0.0, so the sign
+    is kept."""
     out = float(gap)
     return -math.ulp(0.0) if gap < 0 and out == 0.0 else out
+
+
+def dominates_first_order(X: RandomVariable, Y: RandomVariable) -> bool:
+    """X dominates Y in the first order (every nondecreasing utility prefers
+    X); both exact routes of ``_first_order`` must agree."""
+    return _first_order(X, Y)[0]
+
+
+def dominates_second_order(X: RandomVariable, Y: RandomVariable) -> bool:
+    """X dominates Y in the second order (every risk-averse utility prefers
+    X); both exact routes of ``_second_order`` must agree."""
+    return _second_order(X, Y)[0]
 
 
 def _require_concave(G: MaxAffineIntegrand):
     if G.curvature is not Curvature.CONCAVE:
         raise ConfigurationError("constraint integrand must be concave-flagged")
-
-
-def constraint_values(
-    G: MaxAffineIntegrand, x: DecisionPoint, C: DominanceConstraint
-) -> list[float]:
-    """rho_p = lorenz(Y, p) - lorenz(G(x), p) at each grid level.
-
-    Feasibility of the dominance constraint on the grid means all values
-    are <= 0.
-    """
-    _require_concave(G)
-    return C.rho(evaluate(G, x), C.grid)[1].tolist()
 
 
 def constraint_values_at(
@@ -273,28 +263,6 @@ def constraint_values_at(
     """rho_p at arbitrary levels in (0, 1] (used with augmented grids)."""
     _require_concave(G)
     return C.rho(evaluate(G, x), levels)[1]
-
-
-def in_B(X: RandomVariable, Y: RandomVariable, C: DominanceConstraint) -> bool:
-    """Membership of X in the Lorenz-dominance set over Y on [alpha, beta]:
-    lorenz(X, p) >= lorenz(Y, p) at every level of
-    ``C.augmented_levels(X, Y)``, which decides the whole interval because
-    both sides are linear between those levels."""
-    levels = C.augmented_levels(X, Y)
-    return bool(np.all(_lorenz_at(X, levels) >= _lorenz_at(Y, levels)))
-
-
-def uniform_dominance_margin(
-    G: MaxAffineIntegrand, x_tilde: DecisionPoint, C: DominanceConstraint
-) -> float:
-    """min of lorenz(G(x_tilde), p) - lorenz(Y, p) over the checked levels
-    ``C.augmented_levels(G(x_tilde))``, which equals the infimum over
-    [alpha, beta].
-
-    A strictly positive margin is the Slater-type constraint qualification.
-    """
-    _require_concave(G)
-    return -float(np.max(C.rho(evaluate(G, x_tilde))[1]))
 
 
 def constraint_subgradient(

@@ -10,8 +10,8 @@ pair can be cross-checked.
 One private routine, `_sort_prefix`, makes the stable sort and the prefix
 arrays, and one, `_lorenz_prefix`, evaluates the Lorenz function from them
 at an array of levels; the sorted view, `_lorenz_at`, the AVaRs, the
-dominance constraint's rho and `solve` all read these two.  The scalar
-`lorenz` reads the same arrays in Python floats.
+dominance constraint's rho and `solve` all read these two, and the scalar
+`lorenz` is `_lorenz_prefix` at one level.
 """
 
 from __future__ import annotations
@@ -184,12 +184,7 @@ def lorenz(Z: RandomVariable, p: float) -> float:
         return math.inf
     if p == 0.0:
         return 0.0
-    view = sorted_view(Z)
-    # The formula of _lorenz_prefix in Python floats, which cost less than
-    # numpy scalars for a single level.
-    j = min(int(np.searchsorted(view.cum_probs, p, side="left")), view.cum_probs.size - 1)
-    lower = float(view.prefix_mass[j])
-    return float(view.prefix_weighted[j]) + (p - lower) * float(view.sorted_values[j])
+    return float(_lorenz_prefix(sorted_view(Z)._prefix, p))
 
 
 def _lorenz_at(Z: RandomVariable, levels) -> np.ndarray:

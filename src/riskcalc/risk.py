@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .quantiles import _lorenz_prefix, _Prefix, sorted_view
 from .scenario import ProbSpace, RandomVariable, _running_sum, expectation
 
@@ -140,19 +140,6 @@ def _greedy_fill(order: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
     return zeta
 
 
-def _greedy_identifier(
-    values: np.ndarray,
-    probs: np.ndarray,
-    p: float,
-    orientation: Orientation,
-    tilt: np.ndarray | None,
-) -> np.ndarray:
-    """The greedy fill over the relevant tail of the variable with these
-    values and probabilities, in ``_greedy_order`` (so the result maximizes
-    E[zeta * tilt] over the polytope face)."""
-    return _greedy_fill(_greedy_order(values, orientation, tilt), probs, p)
-
-
 def avar_identifier(
     Z: RandomVariable, p: float, orientation: Orientation
 ) -> RiskIdentifier:
@@ -162,7 +149,7 @@ def avar_identifier(
     for UPPER.
     """
     p = _check_level(p)
-    zeta = _greedy_identifier(Z.values, Z.space.probs, p, orientation, None)
+    zeta = _greedy_fill(_greedy_order(Z.values, orientation, None), Z.space.probs, p)
     return RiskIdentifier(Z.space, p, orientation, zeta)
 
 
@@ -184,7 +171,7 @@ def avar_identifier_lmo(
     """
     p = _check_level(p)
     d = _check_direction(Z, direction)
-    zeta = _greedy_identifier(Z.values, Z.space.probs, p, orientation, d)
+    zeta = _greedy_fill(_greedy_order(Z.values, orientation, d), Z.space.probs, p)
     return RiskIdentifier(Z.space, p, orientation, zeta)
 
 

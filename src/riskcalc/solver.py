@@ -62,10 +62,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import _conditional_blocks, _on_blocks, composite_value
-from .dominance import DominanceConstraint
+from .composite import _conditional_blocks, _on_blocks, _require_objective_pair, composite_value
+from .dominance import DominanceConstraint, _require_concave
 from .errors import ConfigurationError, DomainError, StructuralError
-from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand, evaluate
+from .integrands import DecisionPoint, MaxAffineIntegrand, evaluate
 from .quantiles import _lorenz_at, _sort_prefix, lorenz, lorenz_breakpoints
 from .risk import (
     Orientation,
@@ -111,12 +111,8 @@ class ProblemSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.risk.orientation is not Orientation.UPPER:
-            raise ConfigurationError("objective risk must be upper-oriented")
-        if self.objective.curvature is not Curvature.CONVEX:
-            raise ConfigurationError("objective integrand must be convex-flagged")
-        if self.constraint_integrand.curvature is not Curvature.CONCAVE:
-            raise ConfigurationError("constraint integrand must be concave-flagged")
+        _require_objective_pair(self.risk, self.objective)
+        _require_concave(self.constraint_integrand)
         if self.objective.space != self.space or self.constraint_integrand.space != self.space:
             raise StructuralError("integrands must live on the problem space")
         if self.constraint.benchmark.space != self.space:
@@ -456,17 +452,6 @@ def lagrangian_value(
     Zg = evaluate(problem.constraint_integrand, x)
     lorenz_mix = _running_sum(np.array([w * lorenz(Zg, p) for p, w in zip(mu.levels, mu.weights)]))
     return base - kappa * lorenz_mix
-
-
-def nu_from_mu(kappa: float, mu: SpectralMeasure) -> tuple[tuple[float, float], ...]:
-    """The derived measure (kappa/p) mu as (level, weight) pairs; the zero
-    measure (empty tuple) when kappa is zero."""
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise DomainError("kappa must be nonnegative")
-    if kappa == 0.0:
-        return ()
-    return tuple((p, (kappa / p) * w) for p, w in zip(mu.levels, mu.weights))
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from riskcalc import cli
+from riskcalc import cli, dominance
 from riskcalc.cli import load_problem, run_command
 from riskcalc.errors import InvariantViolation, ProblemFormatError
 from riskcalc.solver import CERT_TOL
@@ -212,7 +212,7 @@ class TestDiagnosticCodes:
         def disagree(X, Y):
             raise InvariantViolation("routes disagree")
 
-        monkeypatch.setattr(cli, "dominates_first_order", disagree)
+        monkeypatch.setattr(cli, "_first_order", disagree)
         code, out, err = run(
             ["dominance", "--problem", instance_path("omega4_staircase")], capsys
         )
@@ -440,6 +440,51 @@ class TestCommands:
         )
         assert code == 2
         assert "E_DIMENSION" in err
+
+    @pytest.mark.parametrize(
+        "problem, flag, text",
+        [
+            ("omega4_staircase", "--compare", "1,,2,3,4"),
+            ("omega4_staircase", "--compare", "1,2,3,4,"),
+            ("omega4_staircase", "--compare", ""),
+            ("median", "--x", "1.5,"),
+            ("median", "--x", ""),
+        ],
+    )
+    def test_empty_list_entry_exits_2(self, problem, flag, text, capsys):
+        # an empty entry is bad input, not an entry to drop: dropping it let
+        # a five-entry list pass for four values
+        command = "dominance" if flag == "--compare" else "certify"
+        code, out, err = run(
+            [command, "--problem", instance_path(problem), f"{flag}={text}"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"E_USAGE at {flag}: cannot parse number from ''\n"
+
+    def test_dominance_makes_one_exact_pass_per_order(self, monkeypatch, capsys):
+        # each order's pass builds both sides' exact distributions once, and
+        # its verdict and margin come from that pass
+        calls = []
+        original = dominance._exact_distribution
+
+        def counted(Z):
+            calls.append(Z)
+            return original(Z)
+
+        monkeypatch.setattr(dominance, "_exact_distribution", counted)
+        code, out, _ = run(
+            [
+                "dominance",
+                "--problem",
+                instance_path("omega4_staircase"),
+                "--compare=2,3,4,5",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert report_of(out)["results"]["second_order"] is True
+        assert len(calls) == 4
 
     def test_solve_median(self, capsys):
         code, out, _ = run(

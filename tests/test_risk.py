@@ -22,7 +22,7 @@ from riskcalc import (
     spectral_risk,
     SpectralMeasure,
 )
-from riskcalc.risk import IDENTIFIER_TOL, _greedy_identifier
+from riskcalc.risk import IDENTIFIER_TOL, _greedy_fill, _greedy_order
 from tests.conftest import (
     oracle_avar_lower,
     oracle_avar_upper,
@@ -406,7 +406,7 @@ def loop_identifier(Z, p, orientation, tilt):
 
 class TestGreedyMatchesLoop:
     def assert_same(self, Z, p, orientation, tilt):
-        got = _greedy_identifier(Z.values, Z.space.probs, p, orientation, tilt)
+        got = _greedy_fill(_greedy_order(Z.values, orientation, tilt), Z.space.probs, p)
         assert got.tobytes() == loop_identifier(Z, p, orientation, tilt).tobytes()
 
     def test_ties_in_value_and_tilt(self):

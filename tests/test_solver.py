@@ -30,11 +30,9 @@ from riskcalc import (
     avar_identifier_lmo,
     directional_derivative,
     lagrangian_value,
-    nu_from_mu,
     solve,
     spectral_identifier_lmo,
     subgradient_selector,
-    uniform_dominance_margin,
 )
 from riskcalc.cli import load_problem
 from riskcalc.composite import _conditional_blocks
@@ -300,19 +298,29 @@ class TestLagrangian:
 
 
 class TestNuFromMu:
+    """``Certificate.nu`` is the derived measure (kappa/p) mu of the
+    certificate's multipliers (kappa, levels, weights)."""
+
+    def binding(self):
+        for prob, x in ((forcing_problem(), 1.0), (off_grid_problem(), 0.75)):
+            cert = certify(prob, deterministic(x))
+            assert cert.accepted and cert.kappa > 0.0
+            yield cert
+
     def test_zero_kappa(self):
-        mu = SpectralMeasure((0.5,), (1.0,), Orientation.LOWER)
-        assert nu_from_mu(0.0, mu) == ()
+        cert = certify(median_problem(), deterministic(1.5))
+        assert cert.accepted and cert.kappa == 0.0
+        assert cert.nu == ()
 
     def test_point_mass_arithmetic(self):
-        mu = SpectralMeasure((0.5,), (1.0,), Orientation.LOWER)
-        assert nu_from_mu(2.0, mu) == ((0.5, 4.0),)
+        for cert in self.binding():
+            assert cert.nu == tuple(
+                (p, (cert.kappa / p) * w) for p, w in zip(cert.levels, cert.weights)
+            )
 
     def test_total_mass_at_least_kappa(self):
-        mu = SpectralMeasure((0.25, 0.5, 1.0), (0.2, 0.3, 0.5), Orientation.LOWER)
-        for kappa in (0.5, 1.0, 3.0):
-            nu = nu_from_mu(kappa, mu)
-            assert sum(w for _, w in nu) >= kappa - 1e-15
+        for cert in self.binding():
+            assert sum(w for _, w in cert.nu) >= cert.kappa - 1e-15
 
 
 class TestCertify:
@@ -393,9 +401,9 @@ class TestCertify:
     def test_margin_sees_off_grid_violation(self):
         # x = 0.7 satisfies the constraint on the grid but not at 2/3
         prob = off_grid_problem()
-        margin = uniform_dominance_margin(
-            prob.constraint_integrand, deterministic(0.7), prob.constraint
-        )
+        Z = evaluate(prob.constraint_integrand, deterministic(0.7))
+        assert prob.constraint.rho(Z, prob.constraint.grid)[1].max() <= 0.0
+        margin = -float(np.max(prob.constraint.rho(Z)[1]))
         assert margin == pytest.approx(-1.0 / 30.0, abs=1e-12)
 
     @pytest.mark.parametrize(

@@ -18,13 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dominance import (
-    DominanceConstraint,
-    _first_order,
-    _second_order,
-    dominates_first_order,
-    dominates_second_order,
-)
+from .dominance import DominanceConstraint, _first_order, _gaps, _second_order
 from .errors import InvariantViolation, ProblemFormatError, RiskcalcError
 from .integrands import (
     Curvature,
@@ -322,6 +316,9 @@ def _parse_solver_options(doc: dict) -> SolveOptions:
     if "solver" not in doc:
         return SolveOptions()
     sec = _get_section(doc, "solver")
+    for name in sec:
+        if name not in _OPTION_RULES:
+            _fail("E_TYPE", f"solver.{name}", "unknown solver option")
     for name, (valid, rule) in _OPTION_RULES.items():
         if name in sec and not valid(sec[name]):
             _fail("E_TYPE", f"solver.{name}", f"expected {rule}")
@@ -348,6 +345,12 @@ def _parse_meta(doc: dict) -> dict:
     return out
 
 
+# The top-level keys of a problem file; "meta" holds free-form extras.
+_SECTIONS = (
+    "space", "partition", "objective", "constraint", "feasible_box", "solver", "meta", "name"
+)
+
+
 class LoadedProblem:
     """A parsed problem file: the spec plus file-level extras."""
 
@@ -372,6 +375,9 @@ def load_problem(path: str) -> LoadedProblem:
         _fail("E_JSON", path, str(exc))
     if not isinstance(doc, dict):
         _fail("E_TYPE", "<document>", "top level must be an object")
+    for key in doc:
+        if key not in _SECTIONS:
+            _fail("E_SECTION", key, "unknown section")
     space = _parse_space(doc)
     partition = _parse_partition(doc, space)
     objective_sec = _get_section(doc, "objective")
@@ -483,8 +489,9 @@ def _cmd_dominance(args, loaded: LoadedProblem) -> tuple[int, dict]:
         X = RandomVariable(Y.space, np.array(values))
     else:
         X = Y
-    first, first_margin = _first_order(X, Y)
-    second, second_margin = _second_order(X, Y)
+    gaps = _gaps(X, Y)
+    first, first_margin = _first_order(gaps)
+    second, second_margin = _second_order(gaps)
     results = {
         "first_order": first,
         "second_order": second,
@@ -570,9 +577,8 @@ def _selftest_checks(seed: int) -> list[dict]:
         sp = equiprobable(n)
         X = RandomVariable(sp, np.round(rng.uniform(-3.0, 3.0, n), 2))
         Yv = RandomVariable(sp, np.round(rng.uniform(-3.0, 3.0, n), 2))
-        fo = dominates_first_order(X, Yv)
-        so = dominates_second_order(X, Yv)
-        if fo and not so:
+        gaps = _gaps(X, Yv)
+        if _first_order(gaps)[0] and not _second_order(gaps)[0]:
             ok = False
     checks.append({"name": "dominance_order_implication", "passed": ok, "worst": 0.0})
 

@@ -1,14 +1,14 @@
 """Stochastic dominance tests and interval-restricted Lorenz dominance
 constraints.
 
-First- and second-order dominance each run two logically equivalent routes
-(the distribution side and the quantile side) in one exact pass,
-``_first_order`` and ``_second_order``; a disagreement raises an invariant
-violation, acting as a built-in bug trap for the duality between the
-integrated CDF and the Lorenz function.  Each pass also returns its margin:
-the smallest gap that one of its routes compares (the distribution gap in
-the first order, the Lorenz gap in the second), rounded once, so a margin's
-sign is its verdict.
+Exact dominance reads two first-order gaps of X over Y, built once by
+``_gaps``: the CDF gap on the merged atoms and the quantile gap on the merged
+cumulative breakpoints.  Each order runs two routes, one per gap (the second
+order on their integrals, the integrated-CDF and Lorenz gaps); a disagreement
+raises an invariant violation, a built-in bug trap for the duality between the
+integrated CDF and the Lorenz function.  Each order's margin is the smallest
+gap one of its routes compares (the CDF gap in the first order, the Lorenz gap
+in the second), rounded once, so its sign is its verdict.
 
 The interval constraint "rho_p <= 0 for all p in [alpha, beta]" is reduced to
 finitely many levels: both Lorenz functions are piecewise linear with
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul, sub
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class DominanceConstraint:
         grid = tuple(float(p) for p in self.grid)
         if not grid:
             raise StructuralError("grid must be nonempty")
+        if not all(map(math.isfinite, grid)):
+            raise DomainError("grid levels must be finite")
         if any(q <= p for p, q in zip(grid, grid[1:])):
             raise StructuralError("grid levels must be strictly increasing")
         if grid[0] < a or grid[-1] > b:
@@ -145,14 +148,13 @@ def _exact_distribution(Z: RandomVariable) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(float(Z.values[k])), probs[k] / total) for k in order]
 
 
-def _exact_below(pairs, points) -> list[tuple[Fraction, Fraction]]:
-    """(P(Z <= eta), E[Z; Z <= eta]) at each eta of the ascending ``points``;
-    eta * P(Z <= eta) - E[Z; Z <= eta] is the integrated CDF E[(eta - Z)_+]."""
-    out, mass, moment, i = [], Fraction(0), Fraction(0), 0
+def _exact_cdf(pairs, points) -> list[Fraction]:
+    """P(Z <= eta) at each eta of the ascending ``points``."""
+    out, mass, i = [], Fraction(0), 0
     for eta in points:
         while i < len(pairs) and pairs[i][0] <= eta:
-            mass, moment, i = mass + pairs[i][1], moment + pairs[i][1] * pairs[i][0], i + 1
-        out.append((mass, moment))
+            mass, i = mass + pairs[i][1], i + 1
+        out.append(mass)
     return out
 
 
@@ -166,39 +168,30 @@ def _exact_quantiles(pairs, levels) -> list[Fraction]:
     return out
 
 
-def _exact_lorenzes(pairs, levels) -> list[Fraction]:
-    """Integral of the quantile over [0, level] at each ascending level."""
-    out, mass, moment, i = [], Fraction(0), Fraction(0), 0
-    for level in levels:
-        while i < len(pairs) and mass + pairs[i][1] <= level:
-            mass, moment, i = mass + pairs[i][1], moment + pairs[i][1] * pairs[i][0], i + 1
-        rest = level - mass
-        out.append(moment + rest * pairs[i][0] if rest > 0 and i < len(pairs) else moment)
-    return out
-
-
-def _exact_points(X: RandomVariable, Y: RandomVariable):
-    """Both exact distributions, their merged atoms and their merged
-    cumulative breakpoints, each ascending."""
+def _gaps(X: RandomVariable, Y: RandomVariable):
+    """The first-order gaps of X over Y, from both exact distributions built
+    once: the merged atoms, H_Y - H_X at each, the merged cumulative
+    breakpoints and quantile_X - quantile_Y at each, all ascending."""
     px, py = _exact_distribution(X), _exact_distribution(Y)
     atoms = sorted({v for v, _ in px} | {v for v, _ in py})
     levels = sorted(set(accumulate(p for _, p in px)) | set(accumulate(p for _, p in py)))
-    return px, py, atoms, levels
+    cdf_gap = list(map(sub, _exact_cdf(py, atoms), _exact_cdf(px, atoms)))
+    quantile_gap = list(map(sub, _exact_quantiles(px, levels), _exact_quantiles(py, levels)))
+    return atoms, cdf_gap, levels, quantile_gap
 
 
-def _first_order(X: RandomVariable, Y: RandomVariable) -> tuple[bool, float]:
+def _first_order(gaps) -> tuple[bool, float]:
     """(X dominates Y in the first order, min of H_Y - H_X over the merged
-    atoms).
+    atoms), for ``gaps = _gaps(X, Y)``.
 
     Distribution route: that gap is >= 0.  Quantile route: quantile_X >=
     quantile_Y on the merged cumulative breakpoints.  Both are exact for step
     functions; they must agree.
     """
-    px, py, atoms, levels = _exact_points(X, Y)
-    below_x, below_y = _exact_below(px, atoms), _exact_below(py, atoms)
-    gap = min(hy - hx for (hx, _), (hy, _) in zip(below_x, below_y))
+    _, cdf_gap, _, quantile_gap = gaps
+    gap = min(cdf_gap)
     direct = gap >= 0
-    inverse = all(a >= b for a, b in zip(_exact_quantiles(px, levels), _exact_quantiles(py, levels)))
+    inverse = min(quantile_gap) >= 0
     if direct != inverse:
         raise InvariantViolation(
             "first-order dominance routes disagree "
@@ -207,22 +200,18 @@ def _first_order(X: RandomVariable, Y: RandomVariable) -> tuple[bool, float]:
     return direct, _rounded(gap)
 
 
-def _second_order(X: RandomVariable, Y: RandomVariable) -> tuple[bool, float]:
+def _second_order(gaps) -> tuple[bool, float]:
     """(X dominates Y in the second order, min of lorenz_X - lorenz_Y over
-    the merged cumulative breakpoints).
+    the merged cumulative breakpoints), for ``gaps = _gaps(X, Y)``.
 
-    Direct route: integrated_cdf_X <= integrated_cdf_Y on the merged atoms
-    (both sides are piecewise linear in eta with breakpoints at atoms).
-    Inverse route: the Lorenz gap is >= 0.  The routes are conjugate-dual
-    and must agree.
+    Direct route: integrated_cdf_Y - integrated_cdf_X >= 0 on the merged
+    atoms.  Inverse route: the Lorenz gap is >= 0.  Both integrate a gap
+    that is constant between consecutive merged points, so each is an exact
+    running sum.  The routes are conjugate-dual and must agree.
     """
-    px, py, atoms, levels = _exact_points(X, Y)
-    below_x, below_y = _exact_below(px, atoms), _exact_below(py, atoms)
-    direct = all(
-        eta * hx - mx <= eta * hy - my
-        for eta, (hx, mx), (hy, my) in zip(atoms, below_x, below_y)
-    )
-    gap = min(a - b for a, b in zip(_exact_lorenzes(px, levels), _exact_lorenzes(py, levels)))
+    atoms, cdf_gap, levels, quantile_gap = gaps
+    direct = min(accumulate(map(mul, cdf_gap, map(sub, atoms[1:], atoms)), initial=0)) >= 0
+    gap = min(accumulate(map(mul, quantile_gap, map(sub, levels, [0, *levels]))))
     inverse = gap >= 0
     if direct != inverse:
         raise InvariantViolation(
@@ -243,13 +232,13 @@ def _rounded(gap: Fraction) -> float:
 def dominates_first_order(X: RandomVariable, Y: RandomVariable) -> bool:
     """X dominates Y in the first order (every nondecreasing utility prefers
     X); both exact routes of ``_first_order`` must agree."""
-    return _first_order(X, Y)[0]
+    return _first_order(_gaps(X, Y))[0]
 
 
 def dominates_second_order(X: RandomVariable, Y: RandomVariable) -> bool:
     """X dominates Y in the second order (every risk-averse utility prefers
     X); both exact routes of ``_second_order`` must agree."""
-    return _second_order(X, Y)[0]
+    return _second_order(_gaps(X, Y))[0]
 
 
 def _require_concave(G: MaxAffineIntegrand):

@@ -472,21 +472,20 @@ class Certificate:
     fw_gap: float
     iterations: int
     tol: float
-    act_tol: float
 
 
 class _ResidualGeometry:
     """Arrays for one certification run at x_hat (block rows): F's and G's
     piece values, the active levels and the box normal-cone generators."""
 
-    def __init__(self, problem: ProblemSpec, x: np.ndarray, act_tol: float):
+    def __init__(self, problem: ProblemSpec, x: np.ndarray):
         self.problem, self.x, self.D = problem, x, x.size
         partition = problem.partition
         self.block_of = None if partition is None else partition.block_of
         self.f_vals, self.Zf = problem.objective._pieces(x, self.block_of)
         _check_finite(self.Zf)
         self.g_vals, self.Zg, _, levels, rho = _constraint_at(problem, x, self.block_of)
-        active = np.abs(rho) <= act_tol
+        active = np.abs(rho) <= ACT_TOL
         # Active level -> its Lorenz gap lorenz(Y, p) - lorenz(G(x), p).
         self.active_rho = {float(p): float(r) for p, r in zip(levels[active], rho[active])}
         # Per scenario, the probability of its block (1 when deterministic).
@@ -650,14 +649,13 @@ def certify(
     problem: ProblemSpec,
     x_hat: DecisionPoint,
     tol: float = CERT_TOL,
-    act_tol: float = ACT_TOL,
     max_iters: int = 2000,
 ) -> Certificate:
     """Search for multipliers witnessing the optimality inclusion at x_hat.
 
     residual is the distance from 0 to  g + sum_p eta_p d_p + n  over g in
     the composite subdifferential, d_p in the level-p constraint
-    subgradient polytope at each level p with |rho_p| <= act_tol, eta_p >= 0
+    subgradient polytope at each level p with |rho_p| <= ACT_TOL, eta_p >= 0
     and n in the box normal cone, as found by column generation (see the
     module docstring); fw_gap is its final pricing gap and iterations its
     number of pricing rounds.  kappa = sum_p eta_p, weights = eta_p / kappa
@@ -666,21 +664,20 @@ def certify(
     weights_p * rho_p| is the complementarity term that matches the
     residual's cone term, with rho_p = lorenz(Y, p) - lorenz(G(x_hat), p).
 
-    Raises DomainError for tol or act_tol not finite >= 0, max_iters not an
+    Raises DomainError for tol not finite >= 0, max_iters not an
     integer >= 1 or x_hat outside the box, and StructuralError for an x_hat
     of another dimension or partition (a deterministic one is repeated on
     every block); never on a failed search.  The certificate is accepted iff
     residual <= tol and c_gap <= tol.
     """
     _check_arg("tol", tol, _NONNEGATIVE)
-    _check_arg("act_tol", act_tol, _NONNEGATIVE)
     _check_arg("max_iters", max_iters, _COUNT)
     x = _on_blocks(x_hat, problem.partition)
     problem.objective._check_decision(x)
     lo, hi = problem.block_bounds()
     if np.any(x.vectors < lo - BOUND_ACTIVITY_TOL) or np.any(x.vectors > hi + BOUND_ACTIVITY_TOL):
         raise DomainError("certification point must lie inside the box")
-    geom = _ResidualGeometry(problem, x.vectors, act_tol)
+    geom = _ResidualGeometry(problem, x.vectors)
     M, w, levels, gap, iters = _column_generation(geom, tol * tol / 4.0, max_iters)
     residual = float(np.linalg.norm(M @ w))
     k = len(geom.normals)
@@ -709,5 +706,4 @@ def certify(
         fw_gap=gap,
         iterations=iters,
         tol=tol,
-        act_tol=act_tol,
     )

@@ -209,7 +209,7 @@ class TestDiagnosticCodes:
 
     def test_invariant_violation_exits_3(self, monkeypatch, capsys):
         # a disagreement of the exact dominance routes is a bug, not bad input
-        def disagree(X, Y):
+        def disagree(gaps):
             raise InvariantViolation("routes disagree")
 
         monkeypatch.setattr(cli, "_first_order", disagree)
@@ -245,6 +245,28 @@ class TestDiagnosticCodes:
         code, out, err = run(["solve", "--problem", path], capsys)
         assert code == 2
         assert err.startswith(f"E_TYPE at solver.{field}:")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "instance, edit, expected",
+        [
+            ("median", lambda d: d.update(solver={"iter": 5, "gama0": 0.1}),
+             "E_TYPE at solver.iter:"),
+            ("i05_block_medians", lambda d: d.update(partiton=d.pop("partition")),
+             "E_SECTION at partiton:"),
+        ],
+        ids=["solver-option", "section"],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, instance, edit, expected, capsys):
+        # a misspelt key was ignored: median.json ran 20,000 iterations, and
+        # i05 without its partition solved the deterministic problem
+        with open(instance_path(instance), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = write_doc(str(tmp_path), doc)
+        code, out, err = run(["solve", "--problem", path, "--iters", "300"], capsys)
+        assert code == 2
+        assert err.startswith(expected)
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -462,9 +484,9 @@ class TestCommands:
         assert out == ""
         assert err == f"E_USAGE at {flag}: cannot parse number from ''\n"
 
-    def test_dominance_makes_one_exact_pass_per_order(self, monkeypatch, capsys):
-        # each order's pass builds both sides' exact distributions once, and
-        # its verdict and margin come from that pass
+    def test_dominance_makes_one_exact_pass(self, monkeypatch, capsys):
+        # one pass builds both sides' exact distributions once, and both
+        # orders' verdicts and margins come from it
         calls = []
         original = dominance._exact_distribution
 
@@ -484,7 +506,7 @@ class TestCommands:
         )
         assert code == 0
         assert report_of(out)["results"]["second_order"] is True
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_solve_median(self, capsys):
         code, out, _ = run(

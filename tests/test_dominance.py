@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from riskcalc import (
     DominanceConstraint,
     DomainError,
     InfoPartition,
+    ProbSpace,
     RandomVariable,
     StructuralError,
     constraint_subgradient,
@@ -23,7 +25,7 @@ from riskcalc import (
     lorenz,
     lorenz_breakpoints,
 )
-from riskcalc.dominance import _first_order, _second_order
+from riskcalc.dominance import _first_order, _gaps, _second_order
 from tests.conftest import integrand, point, random_space, rv
 
 
@@ -124,6 +126,11 @@ def brute_margins(X, Y):
     return first, second
 
 
+def margins(X, Y):
+    gaps = _gaps(X, Y)
+    return _first_order(gaps)[1], _second_order(gaps)[1]
+
+
 class TestExactMargins:
     """The margins the CLI reports: exact gaps rounded once, so that each
     margin's sign is its verdict."""
@@ -143,24 +150,47 @@ class TestExactMargins:
                 x = np.nextafter(Y.values, toward)
             yield RandomVariable(space, x), Y
 
+    def two_space_pairs(self, rng, count):
+        """X and Y on spaces of their own, so the running sums cross both
+        spaces' merged breakpoints: different sizes, X a shifted Y with
+        every atom split in two, and power-of-two weights on both sides as
+        the dominance benchmark builds them."""
+
+        def dyadic(n):
+            total = 2 ** (n.bit_length() + 3)
+            cuts = np.sort(rng.choice(np.arange(1, total), n - 1, replace=False))
+            return ProbSpace(np.diff(np.concatenate([[0], cuts, [total]])) / total)
+
+        for k in range(count):
+            n, m = (int(v) for v in rng.integers(1, 9, size=2))
+            family = k % 3
+            space = dyadic(n) if family == 2 else random_space(rng, n)
+            Y = RandomVariable(space, np.round(rng.uniform(-3.0, 3.0, n), 1))
+            if family == 1:
+                split = ProbSpace(np.repeat(space.probs / 2.0, 2))
+                x = np.repeat(Y.values + np.round(rng.uniform(-0.3, 0.3), 1), 2)
+                yield RandomVariable(split, x), Y
+            else:
+                other = dyadic(m) if family == 2 else random_space(rng, m)
+                yield RandomVariable(other, np.round(rng.uniform(-3.0, 3.0, m), 1)), Y
+
     def test_signs_match_the_verdicts(self):
         rng = np.random.default_rng(93)
         held = [0, 0]
-        for X, Y in self.pairs(rng, 2400):
-            first, second = _first_order(X, Y)[1], _second_order(X, Y)[1]
+        for X, Y in chain(self.pairs(rng, 2400), self.two_space_pairs(rng, 600)):
+            first, second = margins(X, Y)
             fo, so = dominates_first_order(X, Y), dominates_second_order(X, Y)
             assert (first >= 0.0) == fo
             assert (second >= 0.0) == so
             held[0] += fo
             held[1] += so
-        assert 0 < held[0] < held[1] < 2400
+        assert 0 < held[0] < held[1] < 3000
 
     def test_values_are_the_rounded_exact_gaps(self):
         rng = np.random.default_rng(94)
         underflows = 0
-        for X, Y in self.pairs(rng, 600):
-            margins = _first_order(X, Y)[1], _second_order(X, Y)[1]
-            for margin, gap in zip(margins, brute_margins(X, Y)):
+        for X, Y in chain(self.pairs(rng, 600), self.two_space_pairs(rng, 300)):
+            for margin, gap in zip(margins(X, Y), brute_margins(X, Y)):
                 if gap < 0 and float(gap) == 0.0:
                     # too small for a float: the sign is kept, not the value
                     assert margin == -np.nextafter(0.0, 1.0)
@@ -204,6 +234,15 @@ class TestConstraintConstruction:
             make_constraint([1.0], 0.5, 1.0, [0.75, 1.0])  # alpha missing
         with pytest.raises(StructuralError):
             make_constraint([1.0], 0.5, 0.9, [0.5, 0.7])  # beta missing
+
+    @pytest.mark.parametrize(
+        "alpha, grid", [(0.2, [0.2, float("nan"), 1.0]), (0.0, [float("nan"), 1.0])]
+    )
+    def test_nan_grid_level_rejected(self, alpha, grid):
+        # a NaN level passed the order and range tests, so rho was NaN there:
+        # solve failed mid-loop and certify ignored the level
+        with pytest.raises(DomainError, match="finite"):
+            make_constraint([1.0, 2.0], alpha, 1.0, grid)
 
     def test_grid_nonempty_and_positive(self):
         with pytest.raises(StructuralError):

@@ -36,7 +36,7 @@ from riskcalc import (
 )
 from riskcalc.cli import load_problem
 from riskcalc.composite import _conditional_blocks
-from riskcalc.solver import ACT_TOL, _ResidualGeometry
+from riskcalc.solver import _ResidualGeometry
 from tests.conftest import (
     INSTANCE_DIR,
     abs_integrand,
@@ -412,26 +412,19 @@ class TestCertify:
             {"tol": float("nan")},
             {"tol": float("inf")},
             {"tol": -1.0},
-            {"act_tol": float("nan")},
-            {"act_tol": -1.0},
-            {"act_tol": float("inf")},
             {"max_iters": 2.5},
             {"max_iters": True},
             {"max_iters": 0},
         ],
     )
     def test_tolerances_and_budget_checked(self, kwargs):
-        # tol = inf accepted any point and tol = -1 rejected an exact one; a
-        # NaN or negative act_tol dropped every active level; max_iters = 2.5
-        # failed with TypeError
+        # tol = inf accepted any point and tol = -1 rejected an exact one;
+        # max_iters = 2.5 failed with TypeError
         with pytest.raises(DomainError):
             certify(forcing_problem(), deterministic(1.0), **kwargs)
 
     def test_boundary_tolerances_accepted(self):
-        cert = certify(
-            forcing_problem(), deterministic(1.0), tol=0, act_tol=np.float64(0.0),
-            max_iters=np.int64(3),
-        )
+        cert = certify(forcing_problem(), deterministic(1.0), tol=0, max_iters=np.int64(3))
         assert cert.levels == (1.0,)
         assert cert.iterations <= 3
 
@@ -724,7 +717,6 @@ def certificate_bytes(cert):
         repr(cert.fw_gap),
         cert.iterations,
         repr(cert.tol),
-        repr(cert.act_tol),
     )
 
 
@@ -763,7 +755,7 @@ def reference_vertices(problem, x, c):
 
 
 def assert_vertices_match(problem, x, directions):
-    geom = _ResidualGeometry(problem, x.vectors, ACT_TOL)
+    geom = _ResidualGeometry(problem, x.vectors)
     for c in directions:
         objective, constraint = reference_vertices(problem, x, c)
         assert geom.objective_vertex(c).tobytes() == objective.tobytes()
@@ -852,5 +844,5 @@ class TestCertifyArrayPath:
         x = prob.decision(np.zeros((2, 1)))
         c = np.array([-1.0, -1.5])
         assert_vertices_match(prob, x, [c, -c, np.array([1.0, -1.5])])
-        geom = _ResidualGeometry(prob, x.vectors, ACT_TOL)
+        geom = _ResidualGeometry(prob, x.vectors)
         assert geom.objective_vertex(c).tolist() == [3.0, 0.0]

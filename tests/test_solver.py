@@ -412,6 +412,9 @@ class TestCertify:
             {"tol": float("nan")},
             {"tol": float("inf")},
             {"tol": -1.0},
+            {"tol": float("-inf")},
+            {"tol": "0.1"},
+            {"max_iters": -1},
             {"max_iters": 2.5},
             {"max_iters": True},
             {"max_iters": 0},

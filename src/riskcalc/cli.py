@@ -19,43 +19,21 @@ import numpy as np
 
 from . import __version__
 from .dominance import DominanceConstraint, _first_order, _gaps, _second_order
-from .errors import InvariantViolation, ProblemFormatError, RiskcalcError
-from .integrands import (
-    Curvature,
-    DecisionPoint,
-    MaxAffineIntegrand,
-    differential_quotient,
-    directional_derivative,
-)
-from .quantiles import (
-    cdf,
-    integrated_cdf,
-    lorenz,
-    lorenz_conjugate,
-    quantile,
-)
-from .risk import (
-    Orientation,
-    SpectralMeasure,
-    avar_identifier,
-    avar_lower,
-    avar_upper,
-)
+from .errors import DomainError, InvariantViolation, ProblemFormatError, RiskcalcError
+from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand
+from .quantiles import cdf, integrated_cdf, lorenz, quantile
+from .risk import Orientation, SpectralMeasure, avar_lower, avar_upper
 from .scenario import (
     PROB_SUM_TOL,
     InfoPartition,
     ProbSpace,
     RandomVariable,
     _running_sum,
-    equiprobable,
     expectation,
 )
-from .composite import composite_subgradient, composite_value
 from .solver import (
     _OPTION_RULES,
-    _check_arg,
     CERT_TOL,
-    TOL_FEAS,
     ProblemSpec,
     SolveOptions,
     certify,
@@ -119,9 +97,35 @@ def dumps_report(obj, indent: int = 0) -> str:
 # Problem files
 # --------------------------------------------------------------------------
 
+# The keys a problem file may hold: those of each top-level section ("meta"
+# is free-form, "name" a string), of each risk kind and of each piece.  Any
+# other key exits 2: E_SECTION at a top-level key, E_TYPE at its path below.
+_KEYS = {
+    "space": ("probs", "labels"),
+    "partition": ("blocks",),
+    "objective": ("risk", "integrand"),
+    "constraint": ("integrand", "benchmark", "interval", "grid"),
+    "feasible_box": ("lower", "upper"),
+    "solver": tuple(_OPTION_RULES),
+    "meta": None,
+    "name": None,
+}
+_RISK_KEYS = {
+    "expectation": ("kind",),
+    "avar": ("kind", "level"),
+    "spectral": ("kind", "levels", "weights"),
+}
+_PIECE_KEYS = ("a", "b")
+
 
 def _fail(code: str, path: str, message: str):
     raise ProblemFormatError(code, path, message)
+
+
+def _check_keys(obj: dict, allowed, path: str):
+    for key in obj:
+        if key not in allowed:
+            _fail("E_TYPE", f"{path}.{key}", "unknown key")
 
 
 def _get_section(doc: dict, key: str) -> dict:
@@ -130,7 +134,14 @@ def _get_section(doc: dict, key: str) -> dict:
     sec = doc[key]
     if not isinstance(sec, dict):
         _fail("E_TYPE", key, "section must be an object")
+    _check_keys(sec, _KEYS[key], key)
     return sec
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail("E_TYPE", path, "expected a number")
+    return float(value)
 
 
 def _float_list(value, path: str) -> list[float]:
@@ -138,9 +149,7 @@ def _float_list(value, path: str) -> list[float]:
         _fail("E_TYPE", path, "expected a nonempty list of numbers")
     out = []
     for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            _fail("E_TYPE", f"{path}[{i}]", "expected a number")
-        v = float(v)
+        v = _number(v, f"{path}[{i}]")
         if v != v or v in (float("inf"), float("-inf")):
             _fail("E_VALUE", f"{path}[{i}]", "value must be finite")
         out.append(v)
@@ -157,7 +166,7 @@ def _parse_space(doc: dict) -> ProbSpace:
     if abs(total - 1.0) > PROB_SUM_TOL:
         _fail("E_PROB_SUM", "space.probs", f"probabilities sum to {total!r}, not 1")
     labels = sec.get("labels", [])
-    if labels and (
+    if "labels" in sec and (
         not isinstance(labels, list)
         or len(labels) != len(probs)
         or any(not isinstance(s, str) for s in labels)
@@ -190,23 +199,21 @@ def _parse_risk(sec, path: str) -> SpectralMeasure:
     if not isinstance(sec, dict):
         _fail("E_TYPE", path, "risk must be an object")
     kind = sec.get("kind")
+    if not isinstance(kind, str) or kind not in _RISK_KEYS:
+        _fail("E_RISK", f"{path}.kind", f"unknown risk kind {kind!r}")
+    _check_keys(sec, _RISK_KEYS[kind], path)
     try:
         if kind == "expectation":
             return SpectralMeasure.expectation()
         if kind == "avar":
-            level = sec.get("level")
-            if isinstance(level, bool) or not isinstance(level, (int, float)):
-                _fail("E_TYPE", f"{path}.level", "expected a number")
-            return SpectralMeasure.single_avar(float(level))
-        if kind == "spectral":
-            levels = _float_list(sec.get("levels"), f"{path}.levels")
-            weights = _float_list(sec.get("weights"), f"{path}.weights")
-            return SpectralMeasure(tuple(levels), tuple(weights), Orientation.UPPER)
+            return SpectralMeasure.single_avar(_number(sec.get("level"), f"{path}.level"))
+        levels = _float_list(sec.get("levels"), f"{path}.levels")
+        weights = _float_list(sec.get("weights"), f"{path}.weights")
+        return SpectralMeasure(tuple(levels), tuple(weights), Orientation.UPPER)
     except ProblemFormatError:
         raise
     except RiskcalcError as exc:
         _fail("E_RISK", path, str(exc))
-    _fail("E_RISK", f"{path}.kind", f"unknown risk kind {kind!r}")
 
 
 def _parse_integrand(
@@ -227,22 +234,17 @@ def _parse_integrand(
             _fail("E_PIECES", f"{path}[{k}]", "each scenario needs at least one piece")
         A, b = [], []
         for j, piece in enumerate(pieces):
+            at = f"{path}[{k}][{j}]"
             if not isinstance(piece, dict) or "a" not in piece or "b" not in piece:
-                _fail("E_PIECES", f"{path}[{k}][{j}]", 'each piece needs "a" and "b"')
-            a = _float_list(piece["a"], f"{path}[{k}][{j}].a")
+                _fail("E_PIECES", at, 'each piece needs "a" and "b"')
+            _check_keys(piece, _PIECE_KEYS, at)
+            a = _float_list(piece["a"], f"{at}.a")
             if dim is None:
                 dim = len(a)
             elif len(a) != dim:
-                _fail(
-                    "E_DIMENSION",
-                    f"{path}[{k}][{j}].a",
-                    f"expected {dim} coordinates, got {len(a)}",
-                )
-            bj = piece["b"]
-            if isinstance(bj, bool) or not isinstance(bj, (int, float)):
-                _fail("E_TYPE", f"{path}[{k}][{j}].b", "expected a number")
+                _fail("E_DIMENSION", f"{at}.a", f"expected {dim} coordinates, got {len(a)}")
             A.append(a)
-            b.append(float(bj))
+            b.append(_number(piece["b"], f"{at}.b"))
         slopes.append(np.array(A))
         offsets.append(np.array(b))
     try:
@@ -263,6 +265,8 @@ def _parse_constraint(doc: dict, space: ProbSpace):
             "constraint.benchmark",
             f"benchmark has {len(bench)} values for {space.size} scenarios",
         )
+    # DominanceConstraint makes the interval and grid checks below too, but
+    # its exceptions name neither the code nor the offending level.
     interval = sec.get("interval")
     if (
         not isinstance(interval, list)
@@ -279,13 +283,11 @@ def _parse_constraint(doc: dict, space: ProbSpace):
         )
     grid = _float_list(sec.get("grid"), "constraint.grid")
     for i, p in enumerate(grid):
-        if not (0.0 < p <= 1.0):
-            _fail("E_GRID_DOMAIN", f"constraint.grid[{i}]", "grid levels must lie in (0, 1]")
-        if p < alpha or p > beta:
+        if p <= 0.0 or not alpha <= p <= beta:
             _fail(
                 "E_GRID_DOMAIN",
                 f"constraint.grid[{i}]",
-                "grid levels must lie inside [alpha, beta]",
+                "grid levels must lie in (0, 1] and inside [alpha, beta]",
             )
     if any(q <= p for p, q in zip(grid, grid[1:])):
         _fail("E_GRID_ORDER", "constraint.grid", "grid levels must be strictly increasing")
@@ -307,8 +309,6 @@ def _parse_box(doc: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
             "feasible_box",
             f"box bounds need {dim} coordinates per side",
         )
-    if any(a > b for a, b in zip(lo, hi)):
-        _fail("E_BOX", "feasible_box", "lower bounds must not exceed upper bounds")
     return np.array(lo), np.array(hi)
 
 
@@ -316,9 +316,6 @@ def _parse_solver_options(doc: dict) -> SolveOptions:
     if "solver" not in doc:
         return SolveOptions()
     sec = _get_section(doc, "solver")
-    for name in sec:
-        if name not in _OPTION_RULES:
-            _fail("E_TYPE", f"solver.{name}", "unknown solver option")
     for name, (valid, rule) in _OPTION_RULES.items():
         if name in sec and not valid(sec[name]):
             _fail("E_TYPE", f"solver.{name}", f"expected {rule}")
@@ -343,12 +340,6 @@ def _parse_meta(doc: dict) -> dict:
             _fail("E_TYPE", "meta.notes", "notes must be a string")
         out["notes"] = meta["notes"]
     return out
-
-
-# The top-level keys of a problem file; "meta" holds free-form extras.
-_SECTIONS = (
-    "space", "partition", "objective", "constraint", "feasible_box", "solver", "meta", "name"
-)
 
 
 class LoadedProblem:
@@ -376,7 +367,7 @@ def load_problem(path: str) -> LoadedProblem:
     if not isinstance(doc, dict):
         _fail("E_TYPE", "<document>", "top level must be an object")
     for key in doc:
-        if key not in _SECTIONS:
+        if key not in _KEYS:
             _fail("E_SECTION", key, "unknown section")
     space = _parse_space(doc)
     partition = _parse_partition(doc, space)
@@ -404,6 +395,9 @@ def load_problem(path: str) -> LoadedProblem:
             partition=partition,
             name=name,
         )
+    except DomainError as exc:
+        # the bounds are finite here, so what ProblemSpec rejects is their order
+        _fail("E_BOX", "feasible_box", str(exc))
     except RiskcalcError as exc:
         _fail("E_DIMENSION", "<document>", str(exc))
     return LoadedProblem(spec, options, meta, digest, name)
@@ -551,117 +545,6 @@ def _cmd_certify(args, loaded: LoadedProblem) -> tuple[int, dict]:
     return (0 if cert.accepted else 1), results
 
 
-# --seed's rule, as in solver._OPTION_RULES (argparse has made it an int).
-_SEED = (lambda v: v >= 0, "an integer >= 0")
-
-
-def _selftest_checks(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 30))
-        w = rng.random(n) + 0.05
-        sp = ProbSpace(w / w.sum())
-        Z = RandomVariable(sp, rng.uniform(-10.0, 10.0, n))
-        for p in np.linspace(0.0, 1.0, 21):
-            worst = max(worst, abs(lorenz(Z, float(p)) - lorenz_conjugate(Z, float(p))))
-    checks.append(
-        {"name": "lorenz_conjugate_pairing", "passed": worst <= 1e-9, "worst": worst}
-    )
-
-    ok = True
-    for _ in range(50):
-        n = int(rng.integers(2, 12))
-        sp = equiprobable(n)
-        X = RandomVariable(sp, np.round(rng.uniform(-3.0, 3.0, n), 2))
-        Yv = RandomVariable(sp, np.round(rng.uniform(-3.0, 3.0, n), 2))
-        gaps = _gaps(X, Yv)
-        if _first_order(gaps)[0] and not _second_order(gaps)[0]:
-            ok = False
-    checks.append({"name": "dominance_order_implication", "passed": ok, "worst": 0.0})
-
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(2, 15))
-        w = rng.random(n) + 0.1
-        sp = ProbSpace(w / w.sum())
-        Z = RandomVariable(sp, rng.normal(0.0, 2.0, n))
-        p = float(rng.uniform(0.05, 1.0))
-        ident = avar_identifier(Z, p, Orientation.LOWER)
-        z = ident.zeta
-        worst = max(
-            worst,
-            float(max(0.0, np.max(z) - 1.0 / p)),
-            float(max(0.0, -np.min(z))),
-            abs(_running_sum(sp.probs * z) - 1.0),
-            abs(_running_sum(sp.probs * z * Z.values) - lorenz(Z, p) / p),
-        )
-    checks.append(
-        {"name": "avar_identifier_feasibility", "passed": worst <= 1e-10, "worst": worst}
-    )
-
-    worst = 0.0
-    for _ in range(5):
-        n = int(rng.integers(2, 8))
-        sp = equiprobable(n)
-        dim = int(rng.integers(1, 3))
-        slopes = tuple(rng.normal(0.0, 1.0, (int(rng.integers(1, 4)), dim)) for _ in range(n))
-        offsets = tuple(rng.normal(0.0, 1.0, s.shape[0]) for s in slopes)
-        F = MaxAffineIntegrand(sp, slopes, offsets, Curvature.CONVEX)
-        risk = SpectralMeasure.single_avar(0.3)
-        x = DecisionPoint(rng.normal(0.0, 1.0, dim))
-        g = composite_subgradient(risk, F, x)
-        base = composite_value(risk, F, x)
-        for _ in range(50):
-            y = DecisionPoint(rng.normal(0.0, 1.0, dim))
-            gap = composite_value(risk, F, y) - base - g.pair(
-                DecisionPoint(y.vectors - x.vectors)
-            )
-            worst = max(worst, -gap)
-    checks.append(
-        {"name": "composite_subgradient_inequality", "passed": worst <= 1e-10, "worst": worst}
-    )
-
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        sp = equiprobable(n)
-        dim = int(rng.integers(1, 3))
-        slopes = tuple(rng.normal(0.0, 1.0, (int(rng.integers(1, 4)), dim)) for _ in range(n))
-        offsets = tuple(rng.normal(0.0, 1.0, s.shape[0]) for s in slopes)
-        F = MaxAffineIntegrand(sp, slopes, offsets, Curvature.CONVEX)
-        x = DecisionPoint(rng.normal(0.0, 1.0, dim))
-        h = DecisionPoint(rng.normal(0.0, 1.0, dim))
-        t1, t2 = sorted(rng.uniform(0.01, 2.0, 2))
-        if t1 == t2:
-            continue
-        q1 = differential_quotient(F, x, h, float(t1))
-        q2 = differential_quotient(F, x, h, float(t2))
-        d0 = directional_derivative(F, x, h)
-        worst = max(
-            worst,
-            float(np.max(q1.values - q2.values)),
-            float(np.max(d0.values - q1.values)),
-        )
-    checks.append(
-        {"name": "quotient_monotone_sandwich", "passed": worst <= 1e-12, "worst": worst}
-    )
-    return checks
-
-
-def _cmd_selftest(args, loaded) -> tuple[int, dict]:
-    _check_arg("seed", args.seed, _SEED)
-    checks = _selftest_checks(args.seed)
-    all_passed = all(c["passed"] for c in checks)
-    return (0 if all_passed else 1), {
-        "seed": args.seed,
-        "checks": checks,
-        "all_passed": all_passed,
-    }
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing does not change the parser.
@@ -671,10 +554,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, *, problem: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        if problem:
-            p.add_argument("--problem", required=True, help="problem file (JSON)")
+        p.add_argument("--problem", required=True, help="problem file (JSON)")
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
@@ -694,9 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, help="override the file's iteration budget")
     p_cert.add_argument("--tol", type=float, default=CERT_TOL, help="certification tolerance")
     p_cert.add_argument("--x", help="comma-separated decision coordinates (stacked blocks)")
-
-    p_self = command("selftest", "run reduced property suites", problem=False)
-    p_self.add_argument("--seed", type=int, default=0, help="seed for the suites")
     return parser
 
 
@@ -705,22 +584,25 @@ _HANDLERS = {
     "dominance": _cmd_dominance,
     "solve": _cmd_solve,
     "certify": _cmd_certify,
-    "selftest": _cmd_selftest,
 }
 
 
 def run_command(argv: list[str]) -> int:
     """Dispatch one CLI invocation; writes the report, returns the exit code.
 
-    Each subcommand takes only the flags it reads; argparse rejects any
+    Each subcommand reads the problem file named by ``--problem`` and takes
+    only the flags it reads; argparse rejects an unknown subcommand, any
     other flag, or a missing ``--problem``, with exit 2.  Without ``--tol``
     the report's ``tolerances.tol`` shows CERT_TOL.
 
-    0: success; 1: infeasible, uncertified, or failed selftest; 2: unusable
-    input (bad file, bad flags, domain errors); 3: internal invariant
-    violation (a bug, reported as ``E_INVARIANT: <message>`` on stderr) or
-    any other unexpected exception (a bug, reported as
-    ``E_INTERNAL: <ExceptionType>: <message>`` on stderr).
+    0: success; 1: infeasible or uncertified; 2: unusable input (a bad
+    file, including a key outside the problem-file key tables at any depth
+    but inside ``meta``; bad flags; domain errors; an ``--out`` that cannot
+    be written, ``E_IO at --out``), reported as ``<code> at <path>:
+    <message>`` or ``<code>: <message>`` on stderr with nothing on stdout;
+    3: internal invariant violation (a bug, reported as ``E_INVARIANT:
+    <message>`` on stderr) or any other unexpected exception (a bug,
+    reported as ``E_INTERNAL: <ExceptionType>: <message>`` on stderr).
     """
     parser = _build_parser()
     try:
@@ -728,8 +610,29 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        loaded = load_problem(args.problem) if "problem" in args else None
+        loaded = load_problem(args.problem)
         code, results = _HANDLERS[args.command](args, loaded)
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "inputs": {
+                "problem_digest": loaded.digest,
+                "argv": list(argv),
+            },
+            "tolerances": {
+                "tol": getattr(args, "tol", CERT_TOL),
+                "tol_feas": loaded.options.tol_feas,
+            },
+            "results": results,
+        }
+        text = dumps_report(report) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                _fail("E_IO", "--out", str(exc))
     except ProblemFormatError as exc:
         print(f"{exc.code} at {exc.path}: {exc.detail}", file=sys.stderr)
         return 2
@@ -739,25 +642,7 @@ def run_command(argv: list[str]) -> int:
     except Exception as exc:
         print(f"E_INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "inputs": {
-            "problem_digest": loaded.digest if loaded else None,
-            "argv": list(argv),
-        },
-        "tolerances": {
-            "tol": getattr(args, "tol", CERT_TOL),
-            "tol_feas": loaded.options.tol_feas if loaded else TOL_FEAS,
-        },
-        "results": results,
-    }
-    text = dumps_report(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -63,11 +63,14 @@ def _lorenz_prefix(pre: _Prefix, levels):
     return pre.weighted[j] + (levels - pre.mass[j]) * pre.values[j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SortedScenarioView:
     """Scenarios of a random variable in nondecreasing value order.
 
-    ``order`` is a stable permutation (ties keep ascending scenario index).
+    Built from the variable's ``values`` and ``probs`` arrays in scenario
+    order; it keeps those arrays, not the variable, so caching the view on
+    the variable makes no reference cycle.  ``order`` is a stable
+    permutation (ties keep ascending scenario index).
     ``prefix_mass[j]`` and ``prefix_weighted[j]`` are the probability mass
     and the sum of p_(i) * z_(i) over the first j sorted atoms (N + 1 entries
     each, 0 at j = 0); the total mass is clamped to exactly 1, and
@@ -75,11 +78,12 @@ class SortedScenarioView:
     ``_sort_prefix`` call, made on first use.
     """
 
-    rv: RandomVariable
+    values: np.ndarray
+    probs: np.ndarray
 
     @cached_property
     def _prefix(self) -> _Prefix:
-        pre = _sort_prefix(self.rv.values, self.rv.space.probs)
+        pre = _sort_prefix(self.values, self.probs)
         for a in pre:
             a.flags.writeable = False
         return pre
@@ -118,8 +122,8 @@ class SortedScenarioView:
     def distinct_integrated_cdf(self) -> np.ndarray:
         """E[max(eta - Z, 0)] evaluated at each distinct atom eta."""
         eta = self.distinct_values
-        gaps = np.maximum(eta[:, None] - self.rv.values[None, :], 0.0)
-        h2 = gaps @ self.rv.space.probs
+        gaps = np.maximum(eta[:, None] - self.values[None, :], 0.0)
+        h2 = gaps @ self.probs
         h2.flags.writeable = False
         return h2
 
@@ -128,7 +132,7 @@ def sorted_view(Z: RandomVariable) -> SortedScenarioView:
     """Sorted view of Z, cached on the (immutable) random variable."""
     cache = Z.__dict__.get("_sorted_view")
     if cache is None:
-        cache = SortedScenarioView(Z)
+        cache = SortedScenarioView(Z.values, Z.space.probs)
         Z.__dict__["_sorted_view"] = cache
     return cache
 

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import inspect
 import json
 import os
 import re
@@ -254,12 +255,35 @@ class TestDiagnosticCodes:
              "E_TYPE at solver.iter:"),
             ("i05_block_medians", lambda d: d.update(partiton=d.pop("partition")),
              "E_SECTION at partiton:"),
+            ("i01_median_kinks", lambda d: d["objective"]["risk"].update(levle=0.5),
+             "E_TYPE at objective.risk.levle:"),
+            ("i01_median_kinks", lambda d: d["feasible_box"].update(uper=[9.0]),
+             "E_TYPE at feasible_box.uper:"),
+            ("i01_median_kinks", lambda d: d["constraint"].update(gird=[1.0]),
+             "E_TYPE at constraint.gird:"),
+            ("i01_median_kinks", lambda d: d["space"].update(lables=["a", "b", "c"]),
+             "E_TYPE at space.lables:"),
+            ("i05_block_medians", lambda d: d["partition"].update(blcoks=[[0]]),
+             "E_TYPE at partition.blcoks:"),
+            ("i01_median_kinks", lambda d: d["objective"]["integrand"][0][0].update(c=1.0),
+             "E_TYPE at objective.integrand[0][0].c:"),
+            ("median", lambda d: d["space"].update(labels=None), "E_TYPE at space.labels:"),
+            ("median", lambda d: d["space"].update(labels=0), "E_TYPE at space.labels:"),
+            ("median", lambda d: d["space"].update(labels=False), "E_TYPE at space.labels:"),
+            ("median", lambda d: d["space"].update(labels=""), "E_TYPE at space.labels:"),
+            ("median", lambda d: d["space"].update(labels={}), "E_TYPE at space.labels:"),
         ],
-        ids=["solver-option", "section"],
+        ids=[
+            "solver-option", "section", "risk-key", "box-key", "constraint-key",
+            "space-key", "partition-key", "piece-key", "labels-null", "labels-zero",
+            "labels-false", "labels-empty-string", "labels-object",
+        ],
     )
     def test_unknown_key_exits_2(self, tmp_path, instance, edit, expected, capsys):
         # a misspelt key was ignored: median.json ran 20,000 iterations, and
-        # i05 without its partition solved the deterministic problem
+        # i05 without its partition solved the deterministic problem; labels
+        # that are not one string per scenario, a key of the wrong type, were
+        # dropped or crashed the reader (exit 3)
         with open(instance_path(instance), encoding="utf-8") as fh:
             doc = json.load(fh)
         edit(doc)
@@ -308,6 +332,16 @@ class TestDiagnosticCodes:
         assert report_of(out)["results"]["residual"] == 0.0
 
 
+    def test_readme_lists_the_codes_the_reader_emits(self):
+        # a deleted check must not leave a documented code that nothing emits
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            (listed,) = re.findall(r"The codes:\s*`([^`]*)`", fh.read())
+        emitted = re.findall(r'_fail\(\s*"(E_[A-Z_]+)"', inspect.getsource(cli))
+        assert set(listed.split()) == set(emitted)
+        assert len(listed.split()) == len(set(listed.split())) == 17
+
+
 class TestFlags:
     """Each subcommand takes only the flags it reads."""
 
@@ -316,7 +350,6 @@ class TestFlags:
         "dominance": {"--problem", "--out", "--compare"},
         "solve": {"--problem", "--out", "--iters"},
         "certify": {"--problem", "--out", "--iters", "--tol", "--x"},
-        "selftest": {"--out", "--seed"},
     }
 
     def test_each_subcommand_has_exactly_its_flags(self):
@@ -328,7 +361,7 @@ class TestFlags:
             for name, p in subparsers.choices.items()
         }
         assert found == self.FLAGS
-        assert sum(map(len, found.values())) == 20
+        assert sum(map(len, found.values())) == 18
 
     @pytest.mark.parametrize(
         "argv",
@@ -337,8 +370,8 @@ class TestFlags:
             ["solve", "--problem", instance_path("median"), "--tol=-5", "--iters", "10"],
             ["dominance", "--problem", instance_path("median"), "--iters", "3"],
             ["certify", "--problem", instance_path("median"), "--seed", "1"],
-            ["selftest", "--problem", instance_path("median")],
-            ["selftest", "--tol", "1"],
+            ["eval", "--problem", instance_path("median"), "--x", "1.5"],
+            ["solve", "--problem", instance_path("median"), "--compare", "1,2"],
         ],
     )
     def test_a_flag_the_subcommand_does_not_read_exits_2(self, argv, capsys):
@@ -351,12 +384,6 @@ class TestFlags:
         code, out, _ = run(["solve", "--problem", instance_path("median"), "--iters", "10"], capsys)
         assert code == 0
         assert report_of(out)["tolerances"]["tol"] == CERT_TOL
-
-    def test_negative_seed_is_a_domain_error(self, capsys):
-        code, out, err = run(["selftest", "--seed", "-1"], capsys)
-        assert code == 2
-        assert err == "E_DOMAIN: seed must be an integer >= 0, got -1\n"
-        assert out == ""
 
 
 class TestCommands:
@@ -558,16 +585,13 @@ class TestCommands:
         assert res["accepted"] is False
         assert res["residual"] > 1e-5
 
-    def test_selftest_passes(self, capsys):
-        code, out, _ = run(["selftest", "--seed", "3"], capsys)
-        assert code == 0
-        res = report_of(out)["results"]
-        assert res["all_passed"] is True
-        assert res["seed"] == 3
-        assert len(res["checks"]) == 5
-
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
+        # selftest is gone; tests/test_acceptance.py runs its five checks
+        code, out, err = run(["selftest", "--seed", "3"], capsys)
+        assert code == 2
+        assert "invalid choice" in err
+        assert out == ""
 
 
 class TestReports:
@@ -605,6 +629,16 @@ class TestReports:
         with open(dest, encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["results"]["lorenz"][0]["value"] == 2.5
+        # a missing directory is unusable input: the write raised
+        # FileNotFoundError and exited 1, which reads as infeasible
+        dest = os.path.join(str(tmp_path), "missing", "report.json")
+        code, out, err = run(
+            ["solve", "--problem", instance_path("median"), "--iters", "5", "--out", dest],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("E_IO at --out: ")
+        assert out == ""
 
     def test_numbers_round_trip_exactly(self, capsys):
         # 17 significant digits reproduce the double bit-for-bit

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +208,19 @@ class TestSortedView:
         assert np.array_equal(v1.order, v2.order)
         assert np.array_equal(v1.cum_probs, v2.cum_probs)
         assert v1.cum_probs[-1] == 1.0
+
+    def test_cached_view_leaves_no_reference_cycle(self):
+        # the view held the variable: the cache made a cycle that only the
+        # cyclic garbage collector freed
+        Z = rv([1.0, 2.0, 3.0, 4.0])
+        ref = weakref.ref(Z)
+        gc.disable()
+        try:
+            cdf(Z, 0.0)
+            del Z
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_sorted_values_nondecreasing(self):
         rng = np.random.default_rng(29)

@@ -503,6 +503,7 @@ def _solution_dict(sol) -> dict:
         "feasible": sol.feasible,
         "iterations": sol.iterations,
         "trace": [[t, v] for t, v in sol.trace],
+        "gap_bound": sol.gap_bound,
     }
 
 
@@ -538,9 +539,10 @@ def _cmd_certify(args, loaded: LoadedProblem) -> tuple[int, dict]:
         "nu": [[p, w] for p, w in cert.nu],
         "residual": cert.residual,
         "c_gap": cert.c_gap,
+        "gap_bound": cert.gap_bound,
         "accepted": cert.accepted,
-        "fw_gap": cert.fw_gap,
-        "fw_iterations": cert.iterations,
+        "pricing_gap": cert.pricing_gap,
+        "pricing_rounds": cert.iterations,
     }
     return (0 if cert.accepted else 1), results
 

@@ -7,7 +7,8 @@ Lorenz breakpoints of Y and of G(x) inside [alpha, beta].
 
 solve: projected switching subgradient method (feasibility step at the most
 violated checked level, objective step otherwise).  No inner LP or QP is
-ever formed.
+ever formed.  ``opts.iters`` is a cap: solve stops early once certify proves
+its best point within STOP_GAP of optimal (see below).
   - Checked once, before the loop: the problem by ``ProblemSpec`` (kinds,
     spaces, dimensions, a finite box) and the options by ``SolveOptions``
     (iters an integer >= 1, gamma0 None or finite > 0, tol_feas finite
@@ -24,10 +25,16 @@ ever formed.
     (DomainError; large coefficients can overflow) and every identifier
     passes its box and mean check (StructuralError).
   - Public objects (``DecisionPoint``, ``Solution``) are built only for
-    the result.  The public routes (``evaluate``, ``rho``,
-    ``spectral_risk``, ``spectral_identifier``, ``lorenz_supergradient``,
-    the public subgradients' block sums) are checked wrappers over these
-    same private functions.
+    the result and the stop tests.  The public routes (``evaluate``,
+    ``rho``, ``spectral_risk``, ``spectral_identifier``,
+    ``lorenz_supergradient``, the public subgradients' block sums) are
+    checked wrappers over these same private functions.
+  - Stop tests: after 2, 4, 8, ... iterations, while 8 times that count is
+    at most ``opts.iters``, and only when the best feasible point changed
+    since the last test, solve calls ``certify`` on that point at its
+    default tolerance.  It stops when the certificate is accepted and its
+    ``gap_bound`` is at most STOP_GAP.  So a budget of iters makes at most
+    log2(iters / 8) tests, and none below 16.
 
 certify: measures the distance from 0 to  g + sum_p eta_p d_p + n  with g in
 the composite subdifferential polytope, d_p in the constraint subgradient
@@ -51,7 +58,13 @@ cone, by column generation over the exact sorting/active-piece LMOs.
     when every gaining column is present already, or after max_iters rounds.
   - Witness: a Certificate holds the multipliers (kappa, levels, weights and
     nu), the residual, c_gap, the box normal-cone part of the residual
-    vector and the search's stop data, all O(D + levels).
+    vector, the search's stop data and gap_bound, all O(D + levels).
+  - Gap bound: with L(x) = f(x) + sum_p eta_p rho_p(x) and r the residual
+    vector, every feasible x has f(x) >= L(x) >= f(x_hat) + sum_p eta_p
+    rho_p(x_hat) - ||r|| ||x - x_hat||, so f(x_hat) - min f <= residual *
+    diam + c_gap, diam the stacked box diameter (which bounds the
+    P(B)-weighted one).  The bound holds whether or not the certificate is
+    accepted.
 """
 
 from __future__ import annotations
@@ -73,8 +86,10 @@ from .risk import (
     _check_identifier,
     _greedy_fill,
     _greedy_order,
+    _spectral_fill,
     _spectral_value,
     _spectral_zeta,
+    _upper_order,
 )
 from .scenario import (
     InfoPartition,
@@ -93,6 +108,9 @@ CONIC_ZERO_TOL = 1e-12
 TOL_FEAS = 1e-6
 # Absolute float guard when the brute-force oracle classifies feasibility.
 BRUTE_FEAS_GUARD = 1e-12
+# solve stops once certify bounds its best point's gap by this
+# (acceptance criterion 7's tolerance against brute force).
+STOP_GAP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +172,12 @@ class ProblemSpec:
         hi = np.tile(self.box_upper, (self.num_blocks, 1))
         return lo, hi
 
+    @property
+    def diameter(self) -> float:
+        """The box's diameter over the stacked block coordinates."""
+        lo, hi = self.block_bounds()
+        return float(np.linalg.norm((hi - lo).ravel()))
+
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -184,7 +208,7 @@ def _check_arg(name: str, value, rule):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """solve's iteration budget, initial step (None: the box diameter) and
+    """solve's iteration cap, initial step (None: the box diameter) and
     feasibility slack; checked on construction against _OPTION_RULES
     (DomainError)."""
 
@@ -199,20 +223,27 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
+    """solve's result.  ``iterations`` is the number of iterations run;
+    ``gap_bound`` is the Certificate.gap_bound of a stop test made at x_hat
+    itself, None when no test was made there."""
+
     x_hat: DecisionPoint
     objective_value: float
     max_violation: float
     iterations: int
     feasible: bool
     trace: tuple[tuple[int, float], ...]
+    gap_bound: float | None
 
 
 def _objective_at(problem: ProblemSpec, x: np.ndarray, block_of):
-    """(piece values, F(x), the objective risk at x) by one kernel call."""
+    """(piece values, F(x), its prefix arrays, the objective risk at x) by
+    one kernel call and one stable sort."""
     vals, Z = problem.objective._pieces(x, block_of)
     _check_finite(Z)
     probs = problem.space.probs
-    return vals, Z, _spectral_value(_sort_prefix(Z, probs), _running_sum(probs * Z), problem.risk)
+    pre = _sort_prefix(Z, probs)
+    return vals, Z, pre, _spectral_value(pre, _running_sum(probs * Z), problem.risk)
 
 
 def _constraint_at(problem: ProblemSpec, x: np.ndarray, block_of):
@@ -231,6 +262,11 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
 
     Returns the best iterate whose violation on the checked levels is at most
     tol_feas; if none exists, the least-violation iterate flagged infeasible.
+    Runs at most opts.iters iterations: after 2, 4, 8, ... of them, while 8
+    times that count is at most opts.iters, a best point that changed since
+    the last such test is certified (``certify`` at its default tolerance),
+    and solve stops when the certificate is accepted with gap_bound at most
+    STOP_GAP.  ``Solution.iterations`` counts the iterations run.
     The problem and the options were checked when they were built; the loop
     runs on the (blocks, n) iterate array and keeps only the checks that can
     fail there: G(x) and F(x) finite (DomainError) and each identifier in
@@ -240,7 +276,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     lo, hi = problem.block_bounds()
     gamma0 = opts.gamma0
     if gamma0 is None:
-        gamma0 = float(np.linalg.norm((hi - lo).ravel()))
+        gamma0 = problem.diameter
         if gamma0 <= 0.0:
             gamma0 = 1.0
     G, probs = problem.constraint_integrand, problem.space.probs
@@ -254,6 +290,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     best_x = None
     least_viol = np.inf
     trace: list[tuple[int, float]] = []
+    next_test, tested_x, cert = 2, None, None
     for t in range(opts.iters):
         g_vals, Zg, pre, levels, rho = _constraint_at(problem, x, block_of)
         viol = float(np.max(rho))
@@ -261,12 +298,12 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
             least_viol = viol
             least_viol_x = x.copy()
         if viol <= opts.tol_feas:
-            f_vals, Zf, obj = _objective_at(problem, x, block_of)
+            f_vals, Zf, f_pre, obj = _objective_at(problem, x, block_of)
             if obj < best_obj:
                 best_obj, best_viol = obj, viol
                 best_x = x.copy()
                 trace.append((t, obj))
-            zeta = _spectral_zeta(Zf, probs, problem.risk, None)
+            zeta = _spectral_fill(_upper_order(Zf, f_pre), probs, problem.risk)
             step = blocks(zeta, problem.objective._active_rows(f_vals, Zf)[0])
         else:
             p = float(levels[int(np.argmax(rho))])
@@ -276,12 +313,21 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
             step = -blocks(p * zeta, G._active_rows(g_vals, Zg)[0])
         gamma = gamma0 / np.sqrt(t + 1.0)
         x = np.clip(x - gamma * step, lo, hi)
+        if t + 1 == next_test and 8 * next_test <= opts.iters:
+            next_test *= 2
+            # best_x is a new array whenever the best point changes.
+            if best_x is not None and best_x is not tested_x:
+                tested_x = best_x
+                cert = certify(problem, problem.decision(best_x))
+                if cert.accepted and cert.gap_bound <= STOP_GAP:
+                    break
     feasible = best_x is not None
     if not feasible:
         best_x, best_viol = least_viol_x, least_viol
-        best_obj = _objective_at(problem, best_x, block_of)[2]
+        best_obj = _objective_at(problem, best_x, block_of)[3]
+    gap_bound = cert.gap_bound if best_x is tested_x else None
     return Solution(
-        problem.decision(best_x), best_obj, best_viol, opts.iters, feasible, tuple(trace)
+        problem.decision(best_x), best_obj, best_viol, t + 1, feasible, tuple(trace), gap_bound
     )
 
 
@@ -466,10 +512,11 @@ class Certificate:
     weights: tuple[float, ...]
     residual: float
     c_gap: float
+    gap_bound: float
     nu: tuple[tuple[float, float], ...]
     accepted: bool
     normal_part: np.ndarray
-    fw_gap: float
+    pricing_gap: float
     iterations: int
     tol: float
 
@@ -657,12 +704,16 @@ def certify(
     the composite subdifferential, d_p in the level-p constraint
     subgradient polytope at each level p with |rho_p| <= ACT_TOL, eta_p >= 0
     and n in the box normal cone, as found by column generation (see the
-    module docstring); fw_gap is its final pricing gap and iterations its
-    number of pricing rounds.  kappa = sum_p eta_p, weights = eta_p / kappa
-    on the levels with eta_p > 0 (none unless kappa > tol), and nu pairs
-    each level with (kappa / p) * weight.  c_gap = |kappa * sum_p
+    module docstring); pricing_gap is its final pricing gap and iterations
+    its number of pricing rounds.  kappa = sum_p eta_p, weights = eta_p /
+    kappa on the levels with eta_p > 0 (none unless kappa > tol), and nu
+    pairs each level with (kappa / p) * weight.  c_gap = |kappa * sum_p
     weights_p * rho_p| is the complementarity term that matches the
     residual's cone term, with rho_p = lorenz(Y, p) - lorenz(G(x_hat), p).
+    gap_bound = residual * problem.diameter + c_gap bounds objective(x_hat)
+    minus the optimum (module docstring); when the weights are dropped
+    (0 < kappa <= tol) it adds kappa * ACT_TOL, which bounds their
+    complementarity term.
 
     Raises DomainError for tol not finite >= 0, max_iters not an
     integer >= 1 or x_hat outside the box, and StructuralError for an x_hat
@@ -694,16 +745,19 @@ def certify(
     )
     nu = tuple((p, (kappa / p) * wt) for p, wt in zip(support, weights))
     accepted = residual <= tol and c_gap <= tol
+    # Every active level has |rho_p| <= ACT_TOL.
+    dropped = 0.0 if support else kappa * ACT_TOL
     return Certificate(
         kappa=kappa,
         levels=tuple(support),
         weights=tuple(weights),
         residual=residual,
         c_gap=c_gap,
+        gap_bound=residual * problem.diameter + c_gap + dropped,
         nu=nu,
         accepted=accepted,
         normal_part=normal_part,
-        fw_gap=gap,
+        pricing_gap=gap,
         iterations=iters,
         tol=tol,
     )

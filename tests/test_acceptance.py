@@ -5,6 +5,7 @@ runtime budget.  Run ``pytest tests/test_acceptance.py -v`` to get one
 pass/fail line per criterion.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -376,6 +377,35 @@ def test_criterion_8_certificates():
             f"{name}: perturbation residuals not strictly increasing: {residuals}"
         )
     assert kappa_seen, "no instance exercised an active dominance constraint"
+
+
+def test_gap_bounds_cover_the_brute_force_gap():
+    # solve's stop rests on certify's gap_bound: at 300 iterations and at the
+    # file's budget, the bound solve reports (when a stop test was made at
+    # x_hat) and certify's bound at x_hat are at least solve's objective
+    # minus the exhaustive optimum (cached by criterion 7), which is at most
+    # the true gap; on i02 and i08 the bound equals that gap to the last bit
+    stopped = {}
+    for name in SHIPPED:
+        loaded = _load(name)
+        ref = _brute(name)
+        for opts in (dataclasses.replace(loaded.options, iters=300), loaded.options):
+            sol = solve(loaded.spec, opts)
+            gap = sol.objective_value - ref.value
+            bounds = [certify(loaded.spec, sol.x_hat).gap_bound]
+            if sol.gap_bound is not None:
+                bounds.append(sol.gap_bound)
+            for bound in bounds:
+                assert bound >= gap, f"{name} at {opts.iters}: bound {bound!r} < gap {gap!r}"
+            if opts is loaded.options and sol.iterations < opts.iters:
+                stopped[name] = sol.iterations
+    assert stopped == {
+        "i01_median_kinks": 2,
+        "i02_active_scalar": 512,
+        "i03_avar_tie": 2,
+        "i08_avar_pushed": 1024,
+        "i10_boundary_pinned": 2,
+    }
 
 
 def test_criterion_9_quotient_monotone_sandwich():

@@ -34,9 +34,11 @@ from riskcalc import (
     spectral_identifier_lmo,
     subgradient_selector,
 )
+from riskcalc import solver
 from riskcalc.cli import load_problem
 from riskcalc.composite import _conditional_blocks
-from riskcalc.solver import _ResidualGeometry
+from riskcalc.risk import DERIVED_ORDER_MIN
+from riskcalc.solver import ACT_TOL, STOP_GAP, _ResidualGeometry
 from tests.conftest import (
     INSTANCE_DIR,
     abs_integrand,
@@ -142,6 +144,21 @@ class TestSolve:
         ]
         assert values[0] >= values[1] - 1e-12
         assert values[1] >= values[2] - 1e-12
+
+    def test_stops_only_on_an_accepted_certificate(self):
+        # F = s * |x - 1| with s = 2e-5: every point but x = 1 has residual
+        # s > CERT_TOL, so certify rejects, although its bound 3 * s on
+        # [0, 3] is below STOP_GAP; solve moves by at most 6e-5 per step
+        # and runs its whole budget
+        s = 2e-5
+        space = equiprobable(2)
+        F = integrand(space, [[(s, -s), (-s, s)]] * 2)
+        G, C = slack_constraint(space)
+        prob = ProblemSpec(space, E, F, G, C, np.array([0.0]), np.array([3.0]))
+        sol = solve(prob, SolveOptions(iters=64))
+        assert sol.iterations == 64
+        cert = certify(prob, sol.x_hat)
+        assert not cert.accepted and 0.0 < cert.gap_bound <= STOP_GAP
 
     def test_iteration_budget_below_one_rejected(self):
         # a budget below one evaluated nothing, yet reported the box centre
@@ -467,6 +484,49 @@ class TestCertify:
         assert a.weights == b.weights
 
 
+class TestGapBound:
+    def test_residual_times_diameter_plus_complementarity(self):
+        # forcing_problem on [0, 3] at x = 1 is accepted with kappa 1; at
+        # 1.5 nothing is active, the residual is the objective's slope 1
+        # and the bound is 3 against a gap of 0.5
+        prob = forcing_problem()
+        for x in (1.0, 1.5):
+            cert = certify(prob, deterministic(x))
+            assert cert.gap_bound == cert.residual * 3.0 + cert.c_gap
+            assert cert.gap_bound >= x - 1.0
+        assert certify(prob, deterministic(1.0)).gap_bound == 0.0
+        assert certify(prob, deterministic(1.5)).gap_bound == 3.0
+
+    def test_dropped_multipliers_keep_their_complementarity(self):
+        # with kappa <= tol no weights are reported and c_gap is 0, but the
+        # residual used the multipliers: kappa * ACT_TOL bounds their term
+        cert = certify(forcing_problem(), deterministic(1.0), tol=1.0)
+        assert cert.levels == () and cert.c_gap == 0.0 and cert.kappa > 0.0
+        assert cert.gap_bound == cert.residual * 3.0 + cert.kappa * ACT_TOL
+
+    def test_bound_holds_whether_or_not_accepted(self):
+        # at the brute-force point, a uniform point and a half-lattice point
+        # of the box, the bound is at least the objective there minus the
+        # objective at the brute-force optimum (both by composite_value)
+        rng = np.random.default_rng(31)
+        seen = set()
+        for i in range(160):
+            prob = random_problem(rng, i)
+            if prob.stacked_dim > 2:
+                continue
+            bf = brute_force_optimum(prob, grid_resolution=2e-2)
+            if not bf.feasible:
+                continue
+            best = composite_value(prob.risk, prob.objective, bf.x)
+            lo, hi = prob.block_bounds()
+            for rows in (bf.x.vectors, rng.uniform(lo, hi), np.round(rng.uniform(lo, hi) * 2) / 2):
+                x = prob.decision(rows)
+                cert = certify(prob, x)
+                assert cert.gap_bound >= composite_value(prob.risk, prob.objective, x) - best
+                seen.add(cert.accepted)
+        assert seen == {True, False}
+
+
 def load(name):
     return load_problem(instance_path(name))
 
@@ -514,27 +574,50 @@ class TestShippedInstances:
 
     @pytest.mark.parametrize("name", ["median", "i05_block_medians"])
     def test_one_kernel_call_per_integrand_and_iteration(self, name, monkeypatch):
-        # one G evaluation per iteration, one F evaluation per objective
-        # step, and at most the final evaluation at x_hat; solve calls the
-        # unchecked array kernel and never the checked route
-        calls = []
+        # one G evaluation per iteration run, one F evaluation per objective
+        # step, and at most the final evaluation at x_hat; each stop test's
+        # certify makes one F and one G evaluation of its own; solve calls
+        # the unchecked array kernel and never the checked route
+        calls = {"loop": [], "tests": []}
+        where = ["loop"]
         pieces = MaxAffineIntegrand._pieces
+        certified = solver.certify
 
         def counted(self, *args, **kwargs):
-            calls.append(self)
+            calls[where[0]].append(self)
             return pieces(self, *args, **kwargs)
+
+        def counted_certify(*args, **kwargs):
+            where[0] = "tests"
+            try:
+                return certified(*args, **kwargs)
+            finally:
+                where[0] = "loop"
 
         def unexpected(self, *args, **kwargs):
             raise AssertionError("solve went through the checked route")
 
         monkeypatch.setattr(MaxAffineIntegrand, "_pieces", counted)
         monkeypatch.setattr(MaxAffineIntegrand, "_select", unexpected)
+        monkeypatch.setattr(solver, "certify", counted_certify)
         iters = 300
         spec = load(name).spec
-        solve(spec, SolveOptions(iters=iters))
-        g_calls = sum(1 for F in calls if F is spec.constraint_integrand)
-        assert g_calls == iters
-        assert len(calls) <= 2 * iters + 2
+        sol = solve(spec, SolveOptions(iters=iters))
+        loop = calls["loop"]
+        assert sum(1 for F in loop if F is spec.constraint_integrand) == sol.iterations
+        assert len(loop) <= 2 * sol.iterations + 1
+        # a stop test after r iterations exactly when the best point improved
+        # in an iteration since the previous test point
+        points = [r for r in (2, 4, 8, 16, 32) if r <= sol.iterations]
+        tests = sum(
+            1
+            for before, r in zip([0] + points, points)
+            if any(before <= t < r for t, _ in sol.trace)
+        )
+        assert tests >= 1
+        assert sorted(map(id, calls["tests"])) == sorted(
+            [id(spec.objective), id(spec.constraint_integrand)] * tests
+        )
 
     def test_solution_trace_records_improvements(self):
         loaded = load("i01_median_kinks")
@@ -554,7 +637,8 @@ class TestShippedInstances:
 def reference_solve(problem, opts):
     """The switching subgradient loop through the public, checked functions:
     a DecisionPoint, G(x) as a RandomVariable, the constraint's rho and the
-    two public subgradients at every iteration."""
+    two public subgradients at every iteration, and the stop tests through
+    the public certify."""
     lo, hi = problem.block_bounds()
     gamma0 = opts.gamma0
     if gamma0 is None:
@@ -562,8 +646,11 @@ def reference_solve(problem, opts):
         if gamma0 <= 0.0:
             gamma0 = 1.0
     F, G, C = problem.objective, problem.constraint_integrand, problem.constraint
+    # After 2, 4, 8, ... iterations while 8 times that count fits the budget.
+    test_after = {2**k for k in range(1, opts.iters.bit_length()) if 8 * 2**k <= opts.iters}
     x = 0.5 * (lo + hi)
     best_obj, best_x, least_viol = np.inf, None, np.inf
+    moved, cert, cert_at_best = False, None, False
     trace = []
     for t in range(opts.iters):
         xp = problem.decision(x)
@@ -576,18 +663,30 @@ def reference_solve(problem, opts):
             if obj < best_obj:
                 best_obj, best_viol, best_x = obj, viol, x.copy()
                 trace.append((t, obj))
+                moved, cert_at_best = True, False
             step = composite_subgradient(problem.risk, F, xp, problem.partition).vectors
         else:
             p = float(levels[int(np.argmax(rho))])
             step = constraint_subgradient(G, xp, p, problem.partition)
         gamma = gamma0 / np.sqrt(t + 1.0)
         x = np.clip(x - gamma * step, lo, hi)
+        if t + 1 in test_after and moved:
+            moved, cert_at_best = False, True
+            cert = certify(problem, problem.decision(best_x))
+            if cert.accepted and cert.gap_bound <= STOP_GAP:
+                break
     feasible = best_x is not None
     if not feasible:
         best_x, best_viol = least_viol_x, least_viol
         best_obj = composite_value(problem.risk, F, problem.decision(best_x))
     return Solution(
-        problem.decision(best_x), best_obj, best_viol, opts.iters, feasible, tuple(trace)
+        problem.decision(best_x),
+        best_obj,
+        best_viol,
+        t + 1,
+        feasible,
+        tuple(trace),
+        cert.gap_bound if cert_at_best else None,
     )
 
 
@@ -604,14 +703,17 @@ def solution_bytes(sol):
         sol.iterations,
         sol.feasible,
         tuple((t, type(v), repr(v)) for t, v in sol.trace),
+        repr(sol.gap_bound),
     )
 
 
-def random_problem(rng, i):
-    """A small problem: tied values on lattices every other time, a
-    partition every other pair, 1-3 level spectral objectives, and a
-    benchmark above G everywhere (infeasible) one time in four."""
-    n = int(rng.integers(1, 10))
+def random_problem(rng, i, n=None):
+    """A small problem (n scenarios if given): tied values on lattices every
+    other time, a partition every other pair, 1-3 level spectral
+    objectives, and a benchmark above G everywhere (infeasible) one time in
+    four."""
+    if n is None:
+        n = int(rng.integers(1, 10))
     dim = int(rng.integers(1, 4))
     space = equiprobable(n) if i % 2 == 0 else random_space(rng, n)
 
@@ -656,9 +758,18 @@ class TestArrayLoopMatchesPublicLoop:
             got = solution_bytes(solve(spec, opts))
             assert got == solution_bytes(reference_solve(spec, opts))
 
-    def test_random_problems_bitwise(self):
+    def test_random_problems_bitwise(self, monkeypatch):
         rng = np.random.default_rng(7)
         kinds = set()
+        bounds = []
+        certified = solver.certify
+
+        def recorded(*args, **kwargs):
+            cert = certified(*args, **kwargs)
+            bounds.append(cert.gap_bound)
+            return cert
+
+        monkeypatch.setattr(solver, "certify", recorded)
         for i in range(40):
             prob = random_problem(rng, i)
             opts = SolveOptions(iters=int(rng.integers(1, 80)))
@@ -669,6 +780,20 @@ class TestArrayLoopMatchesPublicLoop:
         assert {f for f, _, _ in kinds} == {True, False}
         assert {b for _, b, _ in kinds} == {True, False}
         assert any(m for _, _, m in kinds)
+        # every stop test's bound is a bound: nonnegative
+        assert bounds and all(b >= 0.0 for b in bounds)
+
+
+    def test_large_problems_bitwise(self):
+        # from DERIVED_ORDER_MIN scenarios on, objective steps take the
+        # identifier's order from F(x)'s ascending sort
+        rng = np.random.default_rng(8)
+        for i in (0, 1, 2):
+            prob = random_problem(rng, i, DERIVED_ORDER_MIN + 7)
+            opts = SolveOptions(iters=16)
+            got = solve(prob, opts)
+            assert got.trace
+            assert solution_bytes(got) == solution_bytes(reference_solve(prob, opts))
 
 
 class TestSolveOptionsChecked:
@@ -713,11 +838,12 @@ def certificate_bytes(cert):
         tuple(map(repr, cert.weights)),
         repr(cert.residual),
         repr(cert.c_gap),
+        repr(cert.gap_bound),
         tuple((repr(p), repr(w)) for p, w in cert.nu),
         cert.accepted,
         cert.normal_part.tobytes(),
         cert.normal_part.shape,
-        repr(cert.fw_gap),
+        repr(cert.pricing_gap),
         cert.iterations,
         repr(cert.tol),
     )

@@ -113,34 +113,6 @@ def _greedy_order(values: np.ndarray, orientation: Orientation, tilt: np.ndarray
     return np.lexsort((primary,) if tilt is None else (-tilt, primary))
 
 
-# From this many scenarios on, _upper_order derives the order from the
-# stable ascending sort instead of sorting again: a lexsort costs about 1 us
-# against 8 us for the derivation at N <= 16, 17 us against 18 us at
-# N = 1,100 and 49 us against 17 us at N = 1,319 (best of 5, 2-vCPU host).
-DERIVED_ORDER_MIN = 1024
-
-
-def _descending_order(pre: _Prefix) -> np.ndarray:
-    """Scenarios by descending value, ties by ascending index, from a stable
-    ascending sort: its runs of equal values in reverse order, each run kept
-    in ascending index order.  Equals ``np.lexsort((-values,))``."""
-    n = pre.order.size
-    v = pre.values
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    ends = np.append(starts[1:], n)
-    # Ascending position j of the run [s, e) becomes n - e + (j - s).
-    out = np.empty_like(pre.order)
-    out[np.arange(n) + np.repeat(n - starts - ends, ends - starts)] = pre.order
-    return out
-
-
-def _upper_order(values: np.ndarray, pre: _Prefix) -> np.ndarray:
-    """The UPPER greedy order without tilt, given the values' stable sort."""
-    if values.size < DERIVED_ORDER_MIN:
-        return _greedy_order(values, Orientation.UPPER, None)
-    return _descending_order(pre)
-
-
 def _greedy_fill(order: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
     """Fill 1/p density mass over the scenarios in ``order``.
 
@@ -271,12 +243,8 @@ def _spectral_zeta(
 ) -> np.ndarray:
     """Weighted mixture of the per-level greedy identifiers (one order for
     every level), each checked for its box and mean."""
-    return _spectral_fill(_greedy_order(values, measure.orientation, tilt), probs, measure)
-
-
-def _spectral_fill(order: np.ndarray, probs: np.ndarray, measure: SpectralMeasure) -> np.ndarray:
-    """_spectral_zeta given its greedy order."""
-    out = np.zeros(probs.size)
+    order = _greedy_order(values, measure.orientation, tilt)
+    out = np.zeros(values.size)
     for p, w in zip(measure.levels, measure.weights):
         zeta = _greedy_fill(order, probs, p)
         _check_identifier(probs, p, zeta)

@@ -34,7 +34,8 @@ its best point within STOP_GAP of optimal (see below).
     since the last test, solve calls ``certify`` on that point at its
     default tolerance.  It stops when the certificate is accepted and its
     ``gap_bound`` is at most STOP_GAP.  So a budget of iters makes at most
-    log2(iters / 8) tests, and none below 16.
+    log2(iters / 8) tests, and none below 16, and a larger budget can return
+    a point up to STOP_GAP worse than a smaller one.
 
 certify: measures the distance from 0 to  g + sum_p eta_p d_p + n  with g in
 the composite subdifferential polytope, d_p in the constraint subgradient
@@ -86,10 +87,8 @@ from .risk import (
     _check_identifier,
     _greedy_fill,
     _greedy_order,
-    _spectral_fill,
     _spectral_value,
     _spectral_zeta,
-    _upper_order,
 )
 from .scenario import (
     InfoPartition,
@@ -210,7 +209,9 @@ def _check_arg(name: str, value, rule):
 class SolveOptions:
     """solve's iteration cap, initial step (None: the box diameter) and
     feasibility slack; checked on construction against _OPTION_RULES
-    (DomainError)."""
+    (DomainError).  A larger cap can make a stop test that a smaller one
+    does not, so the returned objective falls with iters only up to
+    STOP_GAP."""
 
     iters: int = 20000
     gamma0: float | None = None
@@ -237,13 +238,11 @@ class Solution:
 
 
 def _objective_at(problem: ProblemSpec, x: np.ndarray, block_of):
-    """(piece values, F(x), its prefix arrays, the objective risk at x) by
-    one kernel call and one stable sort."""
+    """(piece values, F(x), the objective risk at x) by one kernel call."""
     vals, Z = problem.objective._pieces(x, block_of)
     _check_finite(Z)
     probs = problem.space.probs
-    pre = _sort_prefix(Z, probs)
-    return vals, Z, pre, _spectral_value(pre, _running_sum(probs * Z), problem.risk)
+    return vals, Z, _spectral_value(_sort_prefix(Z, probs), _running_sum(probs * Z), problem.risk)
 
 
 def _constraint_at(problem: ProblemSpec, x: np.ndarray, block_of):
@@ -266,7 +265,10 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     times that count is at most opts.iters, a best point that changed since
     the last such test is certified (``certify`` at its default tolerance),
     and solve stops when the certificate is accepted with gap_bound at most
-    STOP_GAP.  ``Solution.iterations`` counts the iterations run.
+    STOP_GAP.  ``Solution.iterations`` counts the iterations run.  So a
+    larger cap can stop earlier than a smaller one ran: the objective falls
+    with opts.iters only up to STOP_GAP (i08: a cap of 8,191 runs to the
+    end, 8,192 stops at 1,024 about 9e-6 higher).
     The problem and the options were checked when they were built; the loop
     runs on the (blocks, n) iterate array and keeps only the checks that can
     fail there: G(x) and F(x) finite (DomainError) and each identifier in
@@ -298,12 +300,12 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
             least_viol = viol
             least_viol_x = x.copy()
         if viol <= opts.tol_feas:
-            f_vals, Zf, f_pre, obj = _objective_at(problem, x, block_of)
+            f_vals, Zf, obj = _objective_at(problem, x, block_of)
             if obj < best_obj:
                 best_obj, best_viol = obj, viol
                 best_x = x.copy()
                 trace.append((t, obj))
-            zeta = _spectral_fill(_upper_order(Zf, f_pre), probs, problem.risk)
+            zeta = _spectral_zeta(Zf, probs, problem.risk, None)
             step = blocks(zeta, problem.objective._active_rows(f_vals, Zf)[0])
         else:
             p = float(levels[int(np.argmax(rho))])
@@ -324,7 +326,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     feasible = best_x is not None
     if not feasible:
         best_x, best_viol = least_viol_x, least_viol
-        best_obj = _objective_at(problem, best_x, block_of)[3]
+        best_obj = _objective_at(problem, best_x, block_of)[2]
     gap_bound = cert.gap_bound if best_x is tested_x else None
     return Solution(
         problem.decision(best_x), best_obj, best_viol, t + 1, feasible, tuple(trace), gap_bound

@@ -22,15 +22,7 @@ from riskcalc import (
     spectral_risk,
     SpectralMeasure,
 )
-from riskcalc.quantiles import _sort_prefix
-from riskcalc.risk import (
-    DERIVED_ORDER_MIN,
-    IDENTIFIER_TOL,
-    _descending_order,
-    _greedy_fill,
-    _greedy_order,
-    _upper_order,
-)
+from riskcalc.risk import IDENTIFIER_TOL, _greedy_fill, _greedy_order
 from tests.conftest import (
     oracle_avar_lower,
     oracle_avar_upper,
@@ -450,34 +442,3 @@ class TestGreedyMatchesLoop:
         assert remaining > 0.0
         for orient in (UP, LO):
             self.assert_same(Z, p, orient, None)
-
-
-class TestDescendingOrderFromAscendingSort:
-    """solve's objective steps take the UPPER identifier's greedy order from
-    F(x)'s stable ascending sort instead of a second sort."""
-
-    def assert_same(self, values):
-        pre = _sort_prefix(values, np.full(values.size, 1.0 / values.size))
-        expected = np.lexsort((-values,))
-        assert _descending_order(pre).tolist() == expected.tolist()
-        assert _upper_order(values, pre).tolist() == expected.tolist()
-
-    def test_lattice_values_with_many_ties(self):
-        rng = np.random.default_rng(18)
-        for n in [1, 2, 3, 5, 9, 40] * 50 + [DERIVED_ORDER_MIN - 1, DERIVED_ORDER_MIN, 1319]:
-            self.assert_same(rng.integers(-2, 3, size=n).astype(float))
-
-    def test_all_equal_values_keep_index_order(self):
-        for n in (1, 2, 7, DERIVED_ORDER_MIN, 1319):
-            for v in (0.0, -3.5):
-                self.assert_same(np.full(n, v))
-
-    def test_signed_zeros_tie(self):
-        self.assert_same(np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]))
-        rng = np.random.default_rng(19)
-        self.assert_same(rng.choice([0.0, -0.0, 2.0], size=DERIVED_ORDER_MIN + 5))
-
-    def test_distinct_values_reverse(self):
-        rng = np.random.default_rng(20)
-        for n in (1, 4, DERIVED_ORDER_MIN + 3):
-            self.assert_same(rng.normal(size=n))

@@ -323,7 +323,6 @@ def _parse_solver_options(doc: dict) -> SolveOptions:
     return SolveOptions(
         iters=sec.get("iters", SolveOptions.iters),
         gamma0=None if gamma0 is None else float(gamma0),
-        tol_feas=float(sec.get("tol_feas", SolveOptions.tol_feas)),
     )
 
 
@@ -622,10 +621,7 @@ def run_command(argv: list[str]) -> int:
                 "problem_digest": loaded.digest,
                 "argv": list(argv),
             },
-            "tolerances": {
-                "tol": getattr(args, "tol", CERT_TOL),
-                "tol_feas": loaded.options.tol_feas,
-            },
+            "tolerances": {"tol": getattr(args, "tol", CERT_TOL)},
             "results": results,
         }
         text = dumps_report(report) + "\n"

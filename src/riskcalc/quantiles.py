@@ -112,21 +112,6 @@ class SortedScenarioView:
     def prefix_weighted(self) -> np.ndarray:
         return self._prefix.weighted
 
-    @cached_property
-    def distinct_values(self) -> np.ndarray:
-        v = np.unique(self.sorted_values)
-        v.flags.writeable = False
-        return v
-
-    @cached_property
-    def distinct_integrated_cdf(self) -> np.ndarray:
-        """E[max(eta - Z, 0)] evaluated at each distinct atom eta."""
-        eta = self.distinct_values
-        gaps = np.maximum(eta[:, None] - self.values[None, :], 0.0)
-        h2 = gaps @ self.probs
-        h2.flags.writeable = False
-        return h2
-
 
 def sorted_view(Z: RandomVariable) -> SortedScenarioView:
     """Sorted view of Z, cached on the (immutable) random variable."""
@@ -207,11 +192,17 @@ def lorenz_conjugate(Z: RandomVariable, p: float) -> float:
 
     The supremum is attained at an atom of Z, so only the distinct scenario
     values need to be scanned.  Equals lorenz(Z, p) by conjugate duality.
+    integrated_cdf at the distinct atoms eta_1 < ... < eta_m is built in
+    O(N) memory, apart from ``_sort_prefix`` so that the pair stays a
+    cross-check: it is 0 at eta_1 and grows by P[Z <= eta_j] * (eta_{j+1} -
+    eta_j) from one atom to the next.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"conjugate level must lie in [0, 1], got {p!r}")
     if p == 0.0:
         return 0.0
-    view = sorted_view(Z)
-    return float(np.max(p * view.distinct_values - view.distinct_integrated_cdf))
+    eta, atom = np.unique(Z.values, return_inverse=True)
+    below = np.cumsum(np.bincount(atom, weights=Z.space.probs, minlength=eta.size))
+    h2 = np.concatenate([[0.0], np.cumsum(below[:-1] * np.diff(eta))])
+    return float(np.max(p * eta - h2))

@@ -11,8 +11,10 @@ ever formed.  ``opts.iters`` is a cap: solve stops early once certify proves
 its best point within STOP_GAP of optimal (see below).
   - Checked once, before the loop: the problem by ``ProblemSpec`` (kinds,
     spaces, dimensions, a finite box) and the options by ``SolveOptions``
-    (iters an integer >= 1, gamma0 None or finite > 0, tol_feas finite
-    >= 0).
+    (iters an integer >= 1, gamma0 None or finite > 0).
+  - Feasible means no violation: an iterate is a candidate for the best
+    point only if rho <= 0 on every checked level, the levels certify and
+    brute_force_optimum check too.
   - On arrays, in the loop: the iterate is a (blocks, n) array.  Each
     iteration calls ``_constraint_at``: one unchecked kernel call for G
     (``_pieces``) and one stable sort of G(x) (``_sort_prefix``), which give
@@ -73,6 +75,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,10 +106,10 @@ ACT_TOL = 1e-5
 BOUND_ACTIVITY_TOL = 1e-9
 # Relative share of ||M w|| below which the master drops a conic weight.
 CONIC_ZERO_TOL = 1e-12
-# Feasibility slack for the switching rule.
-TOL_FEAS = 1e-6
 # Absolute float guard when the brute-force oracle classifies feasibility.
 BRUTE_FEAS_GUARD = 1e-12
+# Grid points per vectorised brute-force pass.
+BRUTE_CHUNK = 65536
 # solve stops once certify bounds its best point's gap by this
 # (acceptance criterion 7's tolerance against brute force).
 STOP_GAP = 1e-4
@@ -195,7 +198,6 @@ _NONNEGATIVE = (lambda v: _is_real(v) and math.isfinite(v) and v >= 0, "a finite
 _OPTION_RULES = {
     "iters": _COUNT,
     "gamma0": (lambda v: v is None or _POSITIVE[0](v), _POSITIVE[1]),
-    "tol_feas": _NONNEGATIVE,
 }
 
 
@@ -207,15 +209,15 @@ def _check_arg(name: str, value, rule):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """solve's iteration cap, initial step (None: the box diameter) and
-    feasibility slack; checked on construction against _OPTION_RULES
-    (DomainError).  A larger cap can make a stop test that a smaller one
-    does not, so the returned objective falls with iters only up to
-    STOP_GAP."""
+    """solve's iteration cap and initial step (None: the box diameter);
+    checked on construction against _OPTION_RULES (DomainError).  A larger
+    cap can make a stop test that a smaller one does not, so the returned
+    objective falls with iters only up to STOP_GAP.  ``tol_feas`` is not an
+    option: it is the largest violation solve calls feasible, none."""
 
+    tol_feas: ClassVar[float] = 0.0
     iters: int = 20000
     gamma0: float | None = None
-    tol_feas: float = TOL_FEAS
 
     def __post_init__(self):
         for name, rule in _OPTION_RULES.items():
@@ -259,8 +261,8 @@ def _constraint_at(problem: ProblemSpec, x: np.ndarray, block_of):
 def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     """Projected switching subgradient method; deterministic given options.
 
-    Returns the best iterate whose violation on the checked levels is at most
-    tol_feas; if none exists, the least-violation iterate flagged infeasible.
+    Returns the best iterate with no violation (rho <= 0) on the checked
+    levels; if none exists, the least-violation iterate flagged infeasible.
     Runs at most opts.iters iterations: after 2, 4, 8, ... of them, while 8
     times that count is at most opts.iters, a best point that changed since
     the last such test is certified (``certify`` at its default tolerance),
@@ -268,7 +270,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     STOP_GAP.  ``Solution.iterations`` counts the iterations run.  So a
     larger cap can stop earlier than a smaller one ran: the objective falls
     with opts.iters only up to STOP_GAP (i08: a cap of 8,191 runs to the
-    end, 8,192 stops at 1,024 about 9e-6 higher).
+    end, 8,192 stops at 1,024 about 7.9e-6 higher).
     The problem and the options were checked when they were built; the loop
     runs on the (blocks, n) iterate array and keeps only the checks that can
     fail there: G(x) and F(x) finite (DomainError) and each identifier in
@@ -299,7 +301,7 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
         if viol < least_viol:
             least_viol = viol
             least_viol_x = x.copy()
-        if viol <= opts.tol_feas:
+        if viol <= SolveOptions.tol_feas:
             f_vals, Zf, obj = _objective_at(problem, x, block_of)
             if obj < best_obj:
                 best_obj, best_viol = obj, viol
@@ -376,21 +378,18 @@ def _chunk_lorenz(values: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray
     return prev_w + (p - prev_c) * vj
 
 
-def brute_force_optimum(
-    problem: ProblemSpec, grid_resolution: float = 1e-3, chunk: int = 65536
-) -> BruteForceResult:
+def brute_force_optimum(problem: ProblemSpec, grid_resolution: float = 1e-3) -> BruteForceResult:
     """Exhaustive box-grid search; the independent optimization oracle.
 
     Feasibility is the Lorenz comparison on the levels that solve and certify
     check (the grid, plus the Lorenz breakpoints of Y and of G(x) inside
     [alpha, beta]), with a BRUTE_FEAS_GUARD float guard so that active
     constraints are not misclassified through last-ulp noise.  G(x)'s
-    breakpoints are scanned by a vectorised pass of its own.  Refuses
-    stacked dimension above 4, a grid resolution that is not a finite
-    number > 0 and a chunk size that is not an integer >= 1 (DomainError).
+    breakpoints are scanned by a vectorised pass of its own, BRUTE_CHUNK
+    grid points at a time.  Refuses stacked dimension above 4 and a grid
+    resolution that is not a finite number > 0 (DomainError).
     """
     _check_arg("grid_resolution", grid_resolution, _POSITIVE)
-    _check_arg("chunk", chunk, _COUNT)
     D = problem.stacked_dim
     if D > 4:
         raise DomainError(f"brute force limited to stacked dimension <= 4, got {D}")
@@ -419,8 +418,8 @@ def brute_force_optimum(
     best_val = np.inf
     best_x = None
     num_feasible = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, BRUTE_CHUNK):
+        idx = np.arange(start, min(start + BRUTE_CHUNK, total))
         coords = np.empty((idx.size, D))
         rem = idx
         for d in range(D - 1, -1, -1):

@@ -4,15 +4,19 @@
 name when it installs, so a removed or renamed name makes ``install`` raise
 and breaks traced benchmark runs.  It also reads result attributes
 (``Solution.iterations``, ``Certificate.iterations``) for its work counters,
-so a renamed attribute breaks a traced run only when it runs.  The default
-test run covers only ``tests/``; the tests here make both breakages show.
+so a renamed attribute breaks a traced run only when it runs.  The
+workloads' checks read riskcalc names too (``SolveOptions.tol_feas`` in
+``wide``).  The default test run covers only ``tests/``; the tests here make
+these breakages show.
 """
 
 import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import riskcalc as rc
 from riskcalc import cli  # noqa: F401  (the tracer looks names up on rc.cli)
@@ -22,13 +26,16 @@ from tests.conftest import instance_path
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
-def tracer_module():
+def perfbench_module(name):
     sys.path.insert(0, PERFBENCH)
     try:
-        import tracer
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
-    return tracer
+
+
+def tracer_module():
+    return perfbench_module("tracer")
 
 
 def traced_names(tracer):
@@ -75,3 +82,12 @@ def test_work_counters_count_iterations_and_pricing_rounds():
     assert t.calls["solver.solve"] == 1 and t.calls["solver.certify"] == 2
     assert t.work["solver.solve.iterations"] == sol.iterations
     assert t.work["solver.certify.fw_iterations"] == stop_test.iterations + cert.iterations
+
+
+@pytest.mark.parametrize("name", list(perfbench_module("workloads").WORKLOADS))
+def test_workload_request_passes_its_check(name):
+    # one request on a smoke-sized pool at seed 5; a check that reads a name
+    # riskcalc lost raises here instead of only under pytest perfbench
+    workload = perfbench_module("workloads").WORKLOADS[name]
+    item = workload.build(5, smoke=True).items[0]
+    assert workload.check(item, workload.request(item)) == []

@@ -237,8 +237,9 @@ class TestDiagnosticCodes:
     @pytest.mark.parametrize("field", ["gamma0", "tol_feas"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_solver_option_is_a_type_error(self, tmp_path, field, value, capsys):
-        # json reads NaN and Infinity; a NaN tol_feas passed a "< 0" test
-        # and left median.json infeasible, a NaN gamma0 failed mid-loop
+        # json reads NaN and Infinity; a NaN gamma0 failed mid-loop, and a NaN
+        # tol_feas, when it was an option, left median.json infeasible; it is
+        # an unknown key now, rejected before its value is read
         with open(instance_path("median"), encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["solver"][field] = value
@@ -272,18 +273,20 @@ class TestDiagnosticCodes:
             ("median", lambda d: d["space"].update(labels=False), "E_TYPE at space.labels:"),
             ("median", lambda d: d["space"].update(labels=""), "E_TYPE at space.labels:"),
             ("median", lambda d: d["space"].update(labels={}), "E_TYPE at space.labels:"),
+            ("median", lambda d: d["solver"].update(tol_feas=1e-6), "E_TYPE at solver.tol_feas:"),
         ],
         ids=[
             "solver-option", "section", "risk-key", "box-key", "constraint-key",
             "space-key", "partition-key", "piece-key", "labels-null", "labels-zero",
-            "labels-false", "labels-empty-string", "labels-object",
+            "labels-false", "labels-empty-string", "labels-object", "solver-tol-feas",
         ],
     )
     def test_unknown_key_exits_2(self, tmp_path, instance, edit, expected, capsys):
         # a misspelt key was ignored: median.json ran 20,000 iterations, and
         # i05 without its partition solved the deterministic problem; labels
         # that are not one string per scenario, a key of the wrong type, were
-        # dropped or crashed the reader (exit 3)
+        # dropped or crashed the reader (exit 3); tol_feas is no solver key,
+        # as feasible means no violation
         with open(instance_path(instance), encoding="utf-8") as fh:
             doc = json.load(fh)
         edit(doc)
@@ -295,7 +298,7 @@ class TestDiagnosticCodes:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("iters", 0), ("iters", 2.5), ("gamma0", 0), ("gamma0", -1.0), ("tol_feas", -1e-9)],
+        [("iters", 0), ("iters", 2.5), ("gamma0", 0), ("gamma0", -1.0)],
     )
     def test_solver_option_out_of_range(self, tmp_path, field, value):
         doc = minimal_doc()

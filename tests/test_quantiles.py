@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -199,6 +200,22 @@ class TestConjugate:
     def test_domain_error(self, omega4):
         with pytest.raises(DomainError):
             lorenz_conjugate(omega4, 1.2)
+
+    def test_linear_memory_at_two_thousand_atoms(self):
+        # the integrated CDF at the distinct atoms was an N x N matrix:
+        # 65 MB and 150 ms per call at N = 2,000
+        rng = np.random.default_rng(2000)
+        w = rng.uniform(0.1, 1, size=2000)
+        Z = RandomVariable(ProbSpace(w / w.sum()), rng.normal(0.0, 1.0, 2000))
+        tracemalloc.start()
+        try:
+            got = [lorenz_conjugate(Z, p) for p in (0.1, 0.5, 1.0)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        for p, value in zip((0.1, 0.5, 1.0), got):
+            assert abs(value - lorenz(Z, p)) <= 1e-9
 
 
 class TestSortedView:

@@ -210,22 +210,18 @@ class TestBruteForce:
             {"grid_resolution": float("inf")},
             {"grid_resolution": -0.1},
             {"grid_resolution": None},
-            {"chunk": 0},
-            {"chunk": -3},
-            {"chunk": 2.5},
-            {"chunk": True},
         ],
     )
     def test_arguments_checked(self, kwargs):
-        # chunk = -3 scanned nothing and reported no feasible point; chunk = 0
-        # and a NaN resolution failed inside numpy
+        # a NaN resolution failed inside numpy
         with pytest.raises(DomainError):
             brute_force_optimum(load("i02_active_scalar").spec, **kwargs)
 
-    def test_small_chunks_change_nothing(self):
+    def test_small_chunks_change_nothing(self, monkeypatch):
         prob = forcing_problem()
         whole = brute_force_optimum(prob, grid_resolution=0.01)
-        split = brute_force_optimum(prob, grid_resolution=0.01, chunk=np.int64(7))
+        monkeypatch.setattr(solver, "BRUTE_CHUNK", 7)
+        split = brute_force_optimum(prob, grid_resolution=0.01)
         assert (split.value, split.num_feasible) == (whole.value, whole.num_feasible)
         assert split.x.vectors.tobytes() == whole.x.vectors.tobytes()
 
@@ -543,6 +539,8 @@ class TestShippedInstances:
         assert below.iterations == 8 * stop_at - 1 and below.gap_bound is None
         assert at.iterations == stop_at and at.gap_bound <= STOP_GAP
         assert at.objective_value - below.objective_value <= STOP_GAP
+        for sol in (below, at):
+            assert sol.feasible and sol.max_violation <= 0.0
 
     def test_full_interval_soundness(self):
         # accepted certificate in [0, 1] mode bounds the true optimum
@@ -670,7 +668,7 @@ def reference_solve(problem, opts):
         viol = float(np.max(rho))
         if viol < least_viol:
             least_viol, least_viol_x = viol, x.copy()
-        if viol <= opts.tol_feas:
+        if viol <= 0.0:
             obj = composite_value(problem.risk, F, xp)
             if obj < best_obj:
                 best_obj, best_viol, best_x = obj, viol, x.copy()
@@ -764,7 +762,7 @@ class TestArrayLoopMatchesPublicLoop:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_shipped_instances_bitwise(self, name):
         spec = load(name).spec
-        for opts in (SolveOptions(iters=300), SolveOptions(iters=120, gamma0=0.25, tol_feas=0.0)):
+        for opts in (SolveOptions(iters=300), SolveOptions(iters=120, gamma0=0.25)):
             got = solution_bytes(solve(spec, opts))
             assert got == solution_bytes(reference_solve(spec, opts))
 
@@ -785,6 +783,7 @@ class TestArrayLoopMatchesPublicLoop:
             opts = SolveOptions(iters=int(rng.integers(1, 80)))
             got = solve(prob, opts)
             assert solution_bytes(got) == solution_bytes(reference_solve(prob, opts))
+            assert not got.feasible or got.max_violation <= 0.0
             kinds.add((got.feasible, prob.partition is not None, len(prob.risk.levels) > 1))
         # both outcomes, with and without blocks, and multi-level objectives
         assert {f for f, _, _ in kinds} == {True, False}
@@ -806,22 +805,29 @@ class TestSolveOptionsChecked:
             {"gamma0": -1.0},
             {"gamma0": float("nan")},
             {"gamma0": float("inf")},
-            {"tol_feas": -1e-9},
-            {"tol_feas": float("nan")},
-            {"tol_feas": float("inf")},
+            {"iters": None},
+            {"gamma0": True},
+            {"gamma0": "0.5"},
         ],
     )
     def test_rejected_on_construction(self, kwargs):
-        # gamma0 = 0 never moved and gamma0 = -1 stepped uphill; a NaN
-        # tol_feas never took an objective step
+        # gamma0 = 0 never moved and gamma0 = -1 stepped uphill
         with pytest.raises(DomainError):
             SolveOptions(**kwargs)
         with pytest.raises(DomainError):
             dataclasses.replace(SolveOptions(), **kwargs)
 
     def test_accepted_values(self):
-        SolveOptions(iters=np.int64(5), gamma0=None, tol_feas=0)
-        SolveOptions(iters=1, gamma0=1e-300, tol_feas=0.0)
+        SolveOptions(iters=np.int64(5), gamma0=None)
+        SolveOptions(iters=1, gamma0=1e-300)
+
+    def test_no_feasibility_slack(self):
+        # feasible means rho <= 0 on every checked level; the bound is a
+        # constant, not an option
+        assert SolveOptions.tol_feas == 0.0
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == ["iters", "gamma0"]
+        with pytest.raises(TypeError):
+            SolveOptions(tol_feas=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -239,12 +239,17 @@ def spectral_risk(Z: RandomVariable, measure: SpectralMeasure) -> float:
 
 
 def _spectral_zeta(
-    values: np.ndarray, probs: np.ndarray, measure: SpectralMeasure, tilt: np.ndarray | None
+    values: np.ndarray | None,
+    probs: np.ndarray,
+    measure: SpectralMeasure,
+    tilt: np.ndarray | None,
 ) -> np.ndarray:
-    """Weighted mixture of the per-level greedy identifiers (one order for
-    every level), each checked for its box and mean."""
-    order = _greedy_order(values, measure.orientation, tilt)
-    out = np.zeros(values.size)
+    """Weighted mixture of the per-level greedy identifiers, each checked for
+    its box and mean.  Their one greedy order is built only when a level is
+    below 1: at level 1 the box pins the identifier to the constant density,
+    so an expectation's mixture reads neither ``values`` nor ``tilt``."""
+    order = None if measure.is_expectation else _greedy_order(values, measure.orientation, tilt)
+    out = np.zeros(probs.size)
     for p, w in zip(measure.levels, measure.weights):
         zeta = _greedy_fill(order, probs, p)
         _check_identifier(probs, p, zeta)

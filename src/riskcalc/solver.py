@@ -18,14 +18,20 @@ its best point within STOP_GAP of optimal (see below).
   - On arrays, in the loop: the iterate is a (blocks, n) array.  Each
     iteration calls ``_constraint_at``: one unchecked kernel call for G
     (``_pieces``) and one stable sort of G(x) (``_sort_prefix``), which give
-    the checked levels, rho and, on a feasibility step, the lower
-    identifier's greedy order.  Objective steps make one kernel call for F,
-    whose prefix arrays give the spectral risk, and whose identifier comes
-    from the same greedy fill as ``spectral_identifier``.  Selector rows are
-    chosen from the kernel's piece values only for the step taken.
+    rho and, on a feasibility step, the lower identifier's greedy order.
+    The checked levels and lorenz(Y) on them depend on G(x) only through
+    its prefix mass; ``_CheckedLevels`` keeps them for the last mass seen
+    (compared as bytes) and re-derives both only when it changes, which on
+    an equiprobable space is never.  Objective steps make one kernel call
+    for F, whose prefix arrays give the spectral risk, and whose identifier
+    comes from the same greedy fill as ``spectral_identifier``.  An
+    expectation needs neither: its value is the weighted mean, and its
+    identifier, the constant density, is built and checked once before the
+    loop.  Selector rows are chosen from the kernel's piece values only for
+    the step taken.
   - Checks that can fail stay in the loop: G(x) and F(x) must be finite
     (DomainError; large coefficients can overflow) and every identifier
-    passes its box and mean check (StructuralError).
+    that depends on x passes its box and mean check (StructuralError).
   - Public objects (``DecisionPoint``, ``Solution``) are built only for
     the result and the stop tests.  The public routes (``evaluate``,
     ``rho``, ``spectral_risk``, ``spectral_identifier``,
@@ -83,7 +89,14 @@ from .composite import _conditional_blocks, _on_blocks, _require_objective_pair,
 from .dominance import DominanceConstraint, _require_concave
 from .errors import ConfigurationError, DomainError, StructuralError
 from .integrands import DecisionPoint, MaxAffineIntegrand, evaluate
-from .quantiles import _lorenz_at, _sort_prefix, lorenz, lorenz_breakpoints
+from .quantiles import (
+    _lorenz_at,
+    _lorenz_prefix,
+    _Prefix,
+    _sort_prefix,
+    lorenz,
+    lorenz_breakpoints,
+)
 from .risk import (
     Orientation,
     SpectralMeasure,
@@ -240,22 +253,49 @@ class Solution:
 
 
 def _objective_at(problem: ProblemSpec, x: np.ndarray, block_of):
-    """(piece values, F(x), the objective risk at x) by one kernel call."""
+    """(piece values, F(x), the objective risk at x) by one kernel call, and
+    one stable sort of F(x) unless the risk is an expectation: the upper
+    AVaR at level 1 is (mean - lorenz(F(x), 0)) / 1, where lorenz(F(x), 0)
+    is exactly +0.0, so its value is the mean times the weight, which may
+    differ from 1 by up to SPECTRAL_WEIGHT_TOL."""
     vals, Z = problem.objective._pieces(x, block_of)
     _check_finite(Z)
-    probs = problem.space.probs
-    return vals, Z, _spectral_value(_sort_prefix(Z, probs), _running_sum(probs * Z), problem.risk)
+    probs, risk = problem.space.probs, problem.risk
+    mean = _running_sum(probs * Z)
+    if risk.is_expectation:
+        return vals, Z, _running_sum(np.array(risk.weights) * mean)
+    return vals, Z, _spectral_value(_sort_prefix(Z, probs), mean, risk)
 
 
-def _constraint_at(problem: ProblemSpec, x: np.ndarray, block_of):
+class _CheckedLevels:
+    """The checked levels of the last G(x) seen and lorenz(Y) at them, kept
+    while G(x)'s prefix mass stays the same: both depend on G(x) only through
+    that mass, which never changes on an equiprobable space.  One per solve
+    and one per certify; the public ``DominanceConstraint.rho`` and
+    ``augmented_levels`` keep none and compute both on every call."""
+
+    def __init__(self, constraint: DominanceConstraint):
+        self.constraint, self.key = constraint, None
+
+    def on(self, pre: _Prefix) -> tuple[np.ndarray, np.ndarray]:
+        key = pre.mass.tobytes()
+        if key != self.key:
+            C = self.constraint
+            self.key, self.levels = key, C._levels_on(pre)
+            self.benchmark = _lorenz_prefix(C._benchmark_prefix, self.levels)
+        return self.levels, self.benchmark
+
+
+def _constraint_at(problem: ProblemSpec, x: np.ndarray, block_of, checked: _CheckedLevels):
     """(piece values, G(x), its prefix arrays, the checked levels, rho on
-    them) by one kernel call and one stable sort: the one place where solve
-    and certify decide which levels are violated and which are active."""
+    them) by one kernel call and one stable sort, the levels and lorenz(Y)
+    on them from ``checked``: the one place where solve and certify decide
+    which levels are violated and which are active."""
     vals, Z = problem.constraint_integrand._pieces(x, block_of)
     _check_finite(Z)
     pre = _sort_prefix(Z, problem.space.probs)
-    levels = problem.constraint._levels_on(pre)
-    return vals, Z, pre, levels, problem.constraint._rho_on(pre, levels)
+    levels, benchmark = checked.on(pre)
+    return vals, Z, pre, levels, benchmark - _lorenz_prefix(pre, levels)
 
 
 def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
@@ -274,7 +314,8 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     The problem and the options were checked when they were built; the loop
     runs on the (blocks, n) iterate array and keeps only the checks that can
     fail there: G(x) and F(x) finite (DomainError) and each identifier in
-    its box with unit mean (StructuralError).
+    its box with unit mean (StructuralError); an expectation's identifier
+    does not depend on x and is checked once, before the loop.
     """
     opts = opts or SolveOptions()
     lo, hi = problem.block_bounds()
@@ -295,9 +336,15 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
     least_viol = np.inf
     trace: list[tuple[int, float]] = []
     next_test, tested_x, cert = 2, None, None
+    checked = _CheckedLevels(problem.constraint)
+    # An expectation's identifier is the constant density whatever F(x) is:
+    # built and checked once, here.
+    fixed_zeta = None
+    if problem.risk.is_expectation:
+        fixed_zeta = _spectral_zeta(None, probs, problem.risk, None)
     for t in range(opts.iters):
-        g_vals, Zg, pre, levels, rho = _constraint_at(problem, x, block_of)
-        viol = float(np.max(rho))
+        g_vals, Zg, pre, levels, rho = _constraint_at(problem, x, block_of, checked)
+        viol = float(rho.max())
         if viol < least_viol:
             least_viol = viol
             least_viol_x = x.copy()
@@ -307,7 +354,9 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
                 best_obj, best_viol = obj, viol
                 best_x = x.copy()
                 trace.append((t, obj))
-            zeta = _spectral_zeta(Zf, probs, problem.risk, None)
+            zeta = fixed_zeta
+            if zeta is None:
+                zeta = _spectral_zeta(Zf, probs, problem.risk, None)
             step = blocks(zeta, problem.objective._active_rows(f_vals, Zf)[0])
         else:
             p = float(levels[int(np.argmax(rho))])
@@ -315,8 +364,8 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
             zeta = _greedy_fill(pre.order, probs, p)
             _check_identifier(probs, p, zeta)
             step = -blocks(p * zeta, G._active_rows(g_vals, Zg)[0])
-        gamma = gamma0 / np.sqrt(t + 1.0)
-        x = np.clip(x - gamma * step, lo, hi)
+        gamma = gamma0 / math.sqrt(t + 1.0)
+        x = np.minimum(np.maximum(x - gamma * step, lo), hi)
         if t + 1 == next_test and 8 * next_test <= opts.iters:
             next_test *= 2
             # best_x is a new array whenever the best point changes.
@@ -532,7 +581,9 @@ class _ResidualGeometry:
         self.block_of = None if partition is None else partition.block_of
         self.f_vals, self.Zf = problem.objective._pieces(x, self.block_of)
         _check_finite(self.Zf)
-        self.g_vals, self.Zg, _, levels, rho = _constraint_at(problem, x, self.block_of)
+        self.g_vals, self.Zg, _, levels, rho = _constraint_at(
+            problem, x, self.block_of, _CheckedLevels(problem.constraint)
+        )
         active = np.abs(rho) <= ACT_TOL
         # Active level -> its Lorenz gap lorenz(Y, p) - lorenz(G(x), p).
         self.active_rho = {float(p): float(r) for p, r in zip(levels[active], rho[active])}

@@ -38,6 +38,7 @@ from riskcalc import solver
 from riskcalc.cli import load_problem
 from riskcalc.composite import _conditional_blocks
 from riskcalc.solver import ACT_TOL, STOP_GAP, _ResidualGeometry
+from tests.test_benchmark_names import perfbench_module
 from tests.conftest import (
     INSTANCE_DIR,
     abs_integrand,
@@ -629,6 +630,49 @@ class TestShippedInstances:
             [id(spec.objective), id(spec.constraint_integrand)] * tests
         )
 
+    def test_levels_once_and_one_sort_per_iteration_for_an_expectation(self, monkeypatch):
+        # i07 is equiprobable, so G(x)'s prefix mass never changes and the
+        # loop derives the checked levels once; each stop test's certify
+        # derives them once more.  Its objective is an expectation: the loop
+        # sorts G(x) once per iteration and F(x) never, and no identifier
+        # needs a greedy order
+        calls = {"loop": {"levels": 0, "sorts": 0}, "tests": {"levels": 0, "sorts": 0}}
+        where, tests = ["loop"], []
+        levels_on, sort_prefix, certified = (
+            DominanceConstraint._levels_on,
+            solver._sort_prefix,
+            solver.certify,
+        )
+
+        def counted(kind, method):
+            def wrapper(*args):
+                calls[where[0]][kind] += 1
+                return method(*args)
+
+            return wrapper
+
+        def counted_certify(*args, **kwargs):
+            where[0] = "tests"
+            tests.append(args)
+            try:
+                return certified(*args, **kwargs)
+            finally:
+                where[0] = "loop"
+
+        def unexpected(*args):
+            raise AssertionError("an expectation's identifier built a greedy order")
+
+        monkeypatch.setattr(DominanceConstraint, "_levels_on", counted("levels", levels_on))
+        monkeypatch.setattr(solver, "_sort_prefix", counted("sorts", sort_prefix))
+        monkeypatch.setattr(solver, "certify", counted_certify)
+        monkeypatch.setattr("riskcalc.risk._greedy_order", unexpected)
+        spec = load("i07_full_interval").spec
+        assert spec.risk.is_expectation
+        sol = solve(spec, SolveOptions(iters=300))
+        assert sol.feasible and sol.trace and tests
+        assert calls["loop"] == {"levels": 1, "sorts": sol.iterations}
+        assert calls["tests"] == {"levels": len(tests), "sorts": len(tests)}
+
     def test_solution_trace_records_improvements(self):
         loaded = load("i01_median_kinks")
         sol = solve(loaded.spec, loaded.options)
@@ -791,6 +835,47 @@ class TestArrayLoopMatchesPublicLoop:
         assert any(m for _, _, m in kinds)
         # every stop test's bound is a bound: nonnegative
         assert bounds and all(b >= 0.0 for b in bounds)
+
+    @pytest.mark.parametrize("weight", [1 - 4e-13, 1 + 9e-13])
+    @pytest.mark.parametrize(
+        "name", ["i02_active_scalar", "i05_block_medians", "i07_full_interval"]
+    )
+    def test_level_one_weight_off_one_bitwise(self, name, weight):
+        # a level-1 weight may differ from 1 within SPECTRAL_WEIGHT_TOL, and
+        # the objective is then that weight times the mean, not the mean;
+        # random_problem never draws this, its last weight being exactly
+        # 1 - sum(rest)
+        risk = SpectralMeasure((1.0,), (weight,), Orientation.UPPER)
+        spec = dataclasses.replace(load(name).spec, risk=risk)
+        opts = SolveOptions(iters=300)
+        sol = solve(spec, opts)
+        assert solution_bytes(sol) == solution_bytes(reference_solve(spec, opts))
+        D = spec.stacked_dim
+        directions = [np.zeros(D), np.random.default_rng(3).normal(size=D)]
+        assert_vertices_match(spec, sol.x_hat, directions)
+
+    def test_benchmark_wide_problems_bitwise(self, monkeypatch):
+        # the benchmark's wide problems have random weights, partitions and
+        # three levels below 1: G(x)'s prefix mass moves with its order, so
+        # solve re-derives the checked levels whenever it does
+        wide = perfbench_module("workloads").Wide()
+        levels_on = DominanceConstraint._levels_on
+        derived = []
+
+        def counted(*args):
+            derived.append(args)
+            return levels_on(*args)
+
+        opts = SolveOptions(iters=10)
+        items = wide.build(5, smoke=True).items
+        assert {spec.partition is not None for spec in items} == {True, False}
+        for spec in items:
+            derived.clear()
+            with monkeypatch.context() as m:
+                m.setattr(DominanceConstraint, "_levels_on", counted)
+                got = solve(spec, opts)
+            assert len(derived) > 1
+            assert solution_bytes(got) == solution_bytes(reference_solve(spec, opts))
 
 
 class TestSolveOptionsChecked:

@@ -8,7 +8,8 @@ order on their integrals, the integrated-CDF and Lorenz gaps); a disagreement
 raises an invariant violation, a built-in bug trap for the duality between the
 integrated CDF and the Lorenz function.  Each order's margin is the smallest
 gap one of its routes compares (the CDF gap in the first order, the Lorenz gap
-in the second), rounded once, so its sign is its verdict.
+in the second), rounded once, so its sign is its verdict; a gap beyond the
+float range rounds to +-inf.
 
 The interval constraint "rho_p <= 0 for all p in [alpha, beta]" is reduced to
 finitely many levels: both Lorenz functions are piecewise linear with
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import mul, sub
 
 import numpy as np
@@ -130,27 +130,35 @@ class DominanceConstraint:
         return levels, self._rho_on(pre, np.asarray(levels, dtype=float))
 
 
-# Dominance booleans run in exact rational arithmetic.  Every stored float is
-# a rational number; renormalizing the probabilities inside Fraction makes an
-# equiprobable space exactly equiprobable again, so tie cases (shifted copies,
-# repeated lattice values) cannot be flipped by rounding and the two routes of
-# each test agree identically whenever the implementation is correct.  Each
-# route takes the merged points in ascending order, in one forward pass.
+# Dominance booleans run in exact integer arithmetic.  Every stored float is
+# a dyadic rational, so each side's values become integers on one power-of-two
+# scale and its probabilities integer masses out of their exact sum; ``_gaps``
+# brings both sides to the finer value scale and multiplies each side's masses
+# by the other side's total, so both share the mass unit 1/(Tx*Ty) and no sum
+# needs a gcd.  Renormalizing by the exact totals makes an equiprobable space
+# exactly equiprobable again, so tie cases (shifted copies, repeated lattice
+# values) cannot be flipped by rounding and the two routes of each test agree
+# identically whenever the implementation is correct.  Each route takes the
+# merged points in ascending order, in one forward pass.  A margin is the one
+# division: an integer gap over its unit, rounded once by ``_rounded``.
 
 
-def _exact_distribution(Z: RandomVariable) -> list[tuple[Fraction, Fraction]]:
-    """(value, probability) pairs sorted by value, then by probability (the
-    floats are sorted, not the Fractions, in the same order), mass
-    renormalized to 1."""
-    probs = [Fraction(float(p)) for p in Z.space.probs]
-    total = sum(probs)
-    order = np.lexsort((Z.space.probs, Z.values)).tolist()
-    return [(Fraction(float(Z.values[k])), probs[k] / total) for k in order]
+def _exact_distribution(Z: RandomVariable) -> tuple[list[tuple[int, int]], int, int]:
+    """(pairs, shift, total): (value, mass) integer pairs sorted by value,
+    then by probability, where a value v stands for v / 2**shift and a mass
+    m for the probability m / total, total being the masses' exact sum."""
+    order = np.lexsort((Z.space.probs, Z.values))
+    values = [v.as_integer_ratio() for v in Z.values[order].tolist()]
+    probs = [p.as_integer_ratio() for p in Z.space.probs[order].tolist()]
+    scale = max(d for _, d in values)
+    unit = max(d for _, d in probs)
+    pairs = [(v * (scale // dv), p * (unit // dp)) for (v, dv), (p, dp) in zip(values, probs)]
+    return pairs, scale.bit_length() - 1, sum(m for _, m in pairs)
 
 
-def _exact_cdf(pairs, points) -> list[Fraction]:
-    """P(Z <= eta) at each eta of the ascending ``points``."""
-    out, mass, i = [], Fraction(0), 0
+def _exact_cdf(pairs, points) -> list[int]:
+    """P(Z <= eta), as a mass, at each eta of the ascending ``points``."""
+    out, mass, i = [], 0, 0
     for eta in points:
         while i < len(pairs) and pairs[i][0] <= eta:
             mass, i = mass + pairs[i][1], i + 1
@@ -158,7 +166,7 @@ def _exact_cdf(pairs, points) -> list[Fraction]:
     return out
 
 
-def _exact_quantiles(pairs, levels) -> list[Fraction]:
+def _exact_quantiles(pairs, levels) -> list[int]:
     """Lower quantile at each ascending level (the largest value if no mass reaches it)."""
     out, mass, i = [], pairs[0][1], 0
     for level in levels:
@@ -168,16 +176,26 @@ def _exact_quantiles(pairs, levels) -> list[Fraction]:
     return out
 
 
+def _merged(xs, ys) -> list[int]:
+    """The distinct points of two ascending sequences, ascending: the sort
+    finds the two runs and merges them in linear time."""
+    return [point for point, _ in groupby(sorted([*xs, *ys]))]
+
+
 def _gaps(X: RandomVariable, Y: RandomVariable):
     """The first-order gaps of X over Y, from both exact distributions built
     once: the merged atoms, H_Y - H_X at each, the merged cumulative
-    breakpoints and quantile_X - quantile_Y at each, all ascending."""
-    px, py = _exact_distribution(X), _exact_distribution(Y)
-    atoms = sorted({v for v, _ in px} | {v for v, _ in py})
-    levels = sorted(set(accumulate(p for _, p in px)) | set(accumulate(p for _, p in py)))
+    breakpoints and quantile_X - quantile_Y at each, all ascending; then the
+    mass unit 1/total and the value unit 2**-shift they are counted in."""
+    (px, sx, tx), (py, sy, ty) = _exact_distribution(X), _exact_distribution(Y)
+    shift = max(sx, sy)
+    px = [(v << (shift - sx), m * ty) for v, m in px]
+    py = [(v << (shift - sy), m * tx) for v, m in py]
+    atoms = _merged([v for v, _ in px], [v for v, _ in py])
+    levels = _merged(accumulate(m for _, m in px), accumulate(m for _, m in py))
     cdf_gap = list(map(sub, _exact_cdf(py, atoms), _exact_cdf(px, atoms)))
     quantile_gap = list(map(sub, _exact_quantiles(px, levels), _exact_quantiles(py, levels)))
-    return atoms, cdf_gap, levels, quantile_gap
+    return atoms, cdf_gap, levels, quantile_gap, tx * ty, shift
 
 
 def _first_order(gaps) -> tuple[bool, float]:
@@ -188,7 +206,7 @@ def _first_order(gaps) -> tuple[bool, float]:
     quantile_Y on the merged cumulative breakpoints.  Both are exact for step
     functions; they must agree.
     """
-    _, cdf_gap, _, quantile_gap = gaps
+    _, cdf_gap, _, quantile_gap, total, _ = gaps
     gap = min(cdf_gap)
     direct = gap >= 0
     inverse = min(quantile_gap) >= 0
@@ -197,7 +215,7 @@ def _first_order(gaps) -> tuple[bool, float]:
             "first-order dominance routes disagree "
             f"(distribution: {direct}, quantile: {inverse})"
         )
-    return direct, _rounded(gap)
+    return direct, _rounded(gap, total)
 
 
 def _second_order(gaps) -> tuple[bool, float]:
@@ -209,7 +227,7 @@ def _second_order(gaps) -> tuple[bool, float]:
     that is constant between consecutive merged points, so each is an exact
     running sum.  The routes are conjugate-dual and must agree.
     """
-    atoms, cdf_gap, levels, quantile_gap = gaps
+    atoms, cdf_gap, levels, quantile_gap, total, shift = gaps
     direct = min(accumulate(map(mul, cdf_gap, map(sub, atoms[1:], atoms)), initial=0)) >= 0
     gap = min(accumulate(map(mul, quantile_gap, map(sub, levels, [0, *levels]))))
     inverse = gap >= 0
@@ -218,14 +236,19 @@ def _second_order(gaps) -> tuple[bool, float]:
             "second-order dominance routes disagree "
             f"(integrated-CDF: {direct}, Lorenz: {inverse})"
         )
-    return direct, _rounded(gap)
+    return direct, _rounded(gap, total << shift)
 
 
-def _rounded(gap: Fraction) -> float:
-    """The gap rounded to a float once; a negative gap too small for any
-    float rounds to the smallest negative float, not to -0.0, so the sign
-    is kept."""
-    out = float(gap)
+def _rounded(gap: int, unit: int) -> float:
+    """gap / unit rounded to a float once: integer true division rounds
+    correctly, as float(Fraction) does.  A gap beyond the float range rounds
+    to +-inf, as IEEE round-to-nearest does on overflow, and a negative gap
+    too small for any float rounds to the smallest negative float, not to
+    -0.0, so the sign is kept either way."""
+    try:
+        out = gap / unit
+    except OverflowError:
+        return math.inf if gap > 0 else -math.inf
     return -math.ulp(0.0) if gap < 0 and out == 0.0 else out
 
 

@@ -4,6 +4,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -479,6 +481,18 @@ class TestCommands:
         assert res["first_order"] is False
         assert res["first_order_margin"] < 0
 
+    def test_dominance_margin_beyond_the_float_range_is_infinity(self, tmp_path, capsys):
+        # the Lorenz gap 3.4e308 exceeds the largest float and rounds to +inf
+        doc = minimal_doc()
+        doc["constraint"]["benchmark"] = [-1.7e308]
+        path = write_doc(str(tmp_path), doc)
+        code, out, _ = run(["dominance", "--problem", path, "--compare", "1.7e308"], capsys)
+        assert code == 0
+        assert '"second_order_margin": Infinity' in out
+        res = report_of(out)["results"]
+        assert res["first_order"] is True and res["second_order"] is True
+        assert res["first_order_margin"] == 0.0
+
     def test_dominance_compare_length_checked(self, capsys):
         code, _, err = run(
             [
@@ -678,3 +692,20 @@ class TestReports:
         d1 = report_of(out1)["inputs"]["problem_digest"]
         d2 = report_of(out2)["inputs"]["problem_digest"]
         assert d1 != d2
+
+
+class TestImport:
+    def test_fresh_import_leaves_out_fractions_and_decimal(self):
+        # the exact dominance routes run on integers; fractions, which
+        # imports decimal, would add about 3 ms to every fresh import
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import sys, riskcalc.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import chain
 
@@ -198,6 +199,68 @@ class TestExactMargins:
                 else:
                     assert margin == float(gap)
         assert underflows > 0
+
+    EXTREMES = (5e-324, -2.5e-310, 0.0, -0.0, 1e-300, 0.1, 1.7e308, -1.7e308)
+
+    def extreme_pairs(self, rng, count):
+        """Values from EXTREMES, so the integer scale spans 2**-1074 to
+        2**1023, on spaces of their own with non-dyadic weights whose binary
+        exponents differ within and across the two sides."""
+
+        def side():
+            n = int(rng.integers(1, 6))
+            weights = rng.integers(1, 1000, n) / 3.0 * 2.0 ** rng.integers(-60, 1, n)
+            return RandomVariable(ProbSpace(weights / weights.sum()), rng.choice(self.EXTREMES, n))
+
+        for _ in range(count):
+            yield side(), side()
+
+    def test_extreme_exponents_match_the_oracle(self):
+        rng = np.random.default_rng(95)
+        seen = {"finite": 0, "underflow": 0, "infinite": 0}
+        for X, Y in self.extreme_pairs(rng, 400):
+            for margin, gap in zip(margins(X, Y), brute_margins(X, Y)):
+                try:
+                    expected = float(gap)
+                except OverflowError:
+                    # beyond the float range: IEEE rounds to +-inf
+                    assert margin == (np.inf if gap > 0 else -np.inf)
+                    seen["infinite"] += 1
+                    continue
+                if gap < 0 and expected == 0.0:
+                    assert margin == -np.nextafter(0.0, 1.0)
+                    seen["underflow"] += 1
+                else:
+                    assert margin == expected
+                    seen["finite"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_margin_beyond_the_float_range_is_infinite(self):
+        # the Lorenz gap is 3.4e308; the CDF gap stays in [-1, 1]
+        X, Y = rv([1.7e308]), rv([-1.7e308])
+        assert margins(X, Y) == (0.0, np.inf)
+        assert margins(Y, X) == (-1.0, -np.inf)
+        assert dominates_second_order(X, Y)
+        assert not dominates_second_order(Y, X)
+
+    def test_large_pass_stays_within_its_cpu_budget(self):
+        # 20,000 atoms per side with non-dyadic weights: one exact pass and
+        # both orders take about 0.2 s of CPU on integers, 2.5 s on Fractions
+        rng = np.random.default_rng(96)
+        n = 20_000
+
+        def side(loc, scale):
+            weights = rng.uniform(0.5, 2.0, n)
+            return RandomVariable(ProbSpace(weights / weights.sum()), rng.normal(loc, scale, n))
+
+        # X shifted up and less spread than Y: second order only
+        X, Y = side(0.5, 1.0), side(0.0, 2.0)
+        start = time.process_time()
+        gaps = _gaps(X, Y)
+        first, second = _first_order(gaps), _second_order(gaps)
+        elapsed = time.process_time() - start
+        assert first[0] is False and second[0] is True
+        assert elapsed < 1.5, f"took {elapsed:.2f}s of CPU"
 
 
 def make_constraint(Y_vals, alpha, beta, grid):

@@ -13,24 +13,18 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .dominance import DominanceConstraint, _first_order, _gaps, _second_order
-from .errors import DomainError, InvariantViolation, ProblemFormatError, RiskcalcError
+from .errors import InvariantViolation, ProblemFormatError, RiskcalcError
 from .integrands import Curvature, DecisionPoint, MaxAffineIntegrand
 from .quantiles import cdf, integrated_cdf, lorenz, quantile
 from .risk import Orientation, SpectralMeasure, avar_lower, avar_upper
-from .scenario import (
-    PROB_SUM_TOL,
-    InfoPartition,
-    ProbSpace,
-    RandomVariable,
-    _running_sum,
-    expectation,
-)
+from .scenario import InfoPartition, ProbSpace, RandomVariable, expectation
 from .solver import (
     _OPTION_RULES,
     CERT_TOL,
@@ -46,12 +40,8 @@ from .solver import (
 
 
 def _format_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
+    if not math.isfinite(x):
+        return json.dumps(x)
     s = format(float(x), ".17g")
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"
@@ -67,15 +57,9 @@ def dumps_report(obj, indent: int = 0) -> str:
         obj = obj.tolist()
     elif isinstance(obj, np.generic):
         obj = obj.item()
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -159,20 +143,20 @@ def _float_list(value, path: str) -> list[float]:
 def _parse_space(doc: dict) -> ProbSpace:
     sec = _get_section(doc, "space")
     probs = _float_list(sec.get("probs"), "space.probs")
-    for i, p in enumerate(probs):
-        if p <= 0.0:
-            _fail("E_PROB_POSITIVE", f"space.probs[{i}]", "probabilities must be positive")
-    total = _running_sum(np.array(probs))
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        _fail("E_PROB_SUM", "space.probs", f"probabilities sum to {total!r}, not 1")
     labels = sec.get("labels", [])
-    if "labels" in sec and (
+    bad_labels = "labels" in sec and (
         not isinstance(labels, list)
         or len(labels) != len(probs)
         or any(not isinstance(s, str) for s in labels)
-    ):
+    )
+    # The probabilities' rules come first; ProbSpace raises them with codes.
+    try:
+        space = ProbSpace(np.array(probs), () if bad_labels else tuple(labels))
+    except RiskcalcError as exc:
+        _fail(exc.code, "space.probs", str(exc))
+    if bad_labels:
         _fail("E_TYPE", "space.labels", "labels must be one string per scenario")
-    return ProbSpace(np.array(probs), tuple(labels))
+    return space
 
 
 def _parse_partition(doc: dict, space: ProbSpace) -> InfoPartition | None:
@@ -265,8 +249,6 @@ def _parse_constraint(doc: dict, space: ProbSpace):
             "constraint.benchmark",
             f"benchmark has {len(bench)} values for {space.size} scenarios",
         )
-    # DominanceConstraint makes the interval and grid checks below too, but
-    # its exceptions name neither the code nor the offending level.
     interval = sec.get("interval")
     if (
         not isinstance(interval, list)
@@ -274,28 +256,14 @@ def _parse_constraint(doc: dict, space: ProbSpace):
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in interval)
     ):
         _fail("E_INTERVAL", "constraint.interval", "expected [alpha, beta]")
-    alpha, beta = float(interval[0]), float(interval[1])
-    if not (0.0 <= alpha <= beta <= 1.0) or (alpha == 0.0 and beta < 1.0):
-        _fail(
-            "E_INTERVAL",
-            "constraint.interval",
-            "need 0 <= alpha <= beta <= 1, with alpha = 0 only when beta = 1",
-        )
     grid = _float_list(sec.get("grid"), "constraint.grid")
-    for i, p in enumerate(grid):
-        if p <= 0.0 or not alpha <= p <= beta:
-            _fail(
-                "E_GRID_DOMAIN",
-                f"constraint.grid[{i}]",
-                "grid levels must lie in (0, 1] and inside [alpha, beta]",
-            )
-    if any(q <= p for p, q in zip(grid, grid[1:])):
-        _fail("E_GRID_ORDER", "constraint.grid", "grid levels must be strictly increasing")
     Y = RandomVariable(space, np.array(bench))
+    # DominanceConstraint raises the interval and grid rules with their codes.
     try:
-        constraint = DominanceConstraint(Y, alpha, beta, tuple(grid))
+        constraint = DominanceConstraint(Y, interval[0], interval[1], tuple(grid))
     except RiskcalcError as exc:
-        _fail("E_GRID_DOMAIN", "constraint.grid", str(exc))
+        at = "constraint.interval" if exc.code == "E_INTERVAL" else "constraint.grid"
+        _fail(exc.code, at, str(exc))
     return integrand, constraint
 
 
@@ -341,15 +309,15 @@ def _parse_meta(doc: dict) -> dict:
     return out
 
 
+@dataclasses.dataclass(frozen=True)
 class LoadedProblem:
     """A parsed problem file: the spec plus file-level extras."""
 
-    def __init__(self, spec, options, meta, digest, name):
-        self.spec = spec
-        self.options = options
-        self.meta = meta
-        self.digest = digest
-        self.name = name
+    spec: ProblemSpec
+    options: SolveOptions
+    meta: dict
+    digest: str
+    name: str
 
 
 def load_problem(path: str) -> LoadedProblem:
@@ -394,10 +362,11 @@ def load_problem(path: str) -> LoadedProblem:
             partition=partition,
             name=name,
         )
-    except DomainError as exc:
-        # the bounds are finite here, so what ProblemSpec rejects is their order
-        _fail("E_BOX", "feasible_box", str(exc))
     except RiskcalcError as exc:
+        # ProblemSpec raises the box's order rule with its code; the bounds
+        # are finite here, so any other rule it applies is a dimension's
+        if exc.code == "E_BOX":
+            _fail(exc.code, "feasible_box", str(exc))
         _fail("E_DIMENSION", "<document>", str(exc))
     return LoadedProblem(spec, options, meta, digest, name)
 
@@ -431,6 +400,22 @@ def _decision_from_flat(problem: ProblemSpec, values: list[float], path: str) ->
     return problem.decision(rows)
 
 
+# The eval flags, in report order: the flag, its help, its report key, and
+# the report row of the benchmark Y at one of its values v.
+_EVAL_FLAGS = (
+    ("--cdf", "eta value, e.g. eta=1.5", "cdf",
+     lambda Y, v: {"eta": v, "value": cdf(Y, v)}),
+    ("--quantile", "probability level, e.g. p=0.5", "quantile",
+     lambda Y, v: {"p": v, "value": quantile(Y, v)}),
+    ("--integrated", "eta value", "integrated_cdf",
+     lambda Y, v: {"eta": v, "value": integrated_cdf(Y, v)}),
+    ("--lorenz", "probability level, e.g. p=0.5", "lorenz",
+     lambda Y, v: {"p": v, "value": lorenz(Y, v)}),
+    ("--avar", "probability level", "avar",
+     lambda Y, v: {"level": v, "lower": avar_lower(Y, v), "upper": avar_upper(Y, v)}),
+)
+
+
 def _cmd_eval(args, loaded: LoadedProblem) -> tuple[int, dict]:
     Y = loaded.spec.constraint.benchmark
     results = {
@@ -441,31 +426,11 @@ def _cmd_eval(args, loaded: LoadedProblem) -> tuple[int, dict]:
             "max": float(np.max(Y.values)),
         }
     }
-    if args.cdf:
-        results["cdf"] = [
-            {"eta": v, "value": cdf(Y, v)}
-            for v in (_point_value(t, "--cdf") for t in args.cdf)
-        ]
-    if args.quantile:
-        results["quantile"] = [
-            {"p": v, "value": quantile(Y, v)}
-            for v in (_point_value(t, "--quantile") for t in args.quantile)
-        ]
-    if args.integrated:
-        results["integrated_cdf"] = [
-            {"eta": v, "value": integrated_cdf(Y, v)}
-            for v in (_point_value(t, "--integrated") for t in args.integrated)
-        ]
-    if args.lorenz:
-        results["lorenz"] = [
-            {"p": v, "value": lorenz(Y, v)}
-            for v in (_point_value(t, "--lorenz") for t in args.lorenz)
-        ]
-    if args.avar:
-        results["avar"] = [
-            {"level": v, "lower": avar_lower(Y, v), "upper": avar_upper(Y, v)}
-            for v in (_point_value(t, "--avar") for t in args.avar)
-        ]
+    for flag, _, key, row in _EVAL_FLAGS:
+        # each value is parsed, then evaluated, before the next is read
+        texts = getattr(args, flag[2:])
+        if texts:
+            results[key] = [row(Y, _point_value(t, flag)) for t in texts]
     return 0, results
 
 
@@ -562,11 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p_eval = command("eval", "evaluate distribution functions of the benchmark")
-    p_eval.add_argument("--cdf", action="append", help="eta value, e.g. eta=1.5")
-    p_eval.add_argument("--quantile", action="append", help="probability level, e.g. p=0.5")
-    p_eval.add_argument("--integrated", action="append", help="eta value")
-    p_eval.add_argument("--lorenz", action="append", help="probability level, e.g. p=0.5")
-    p_eval.add_argument("--avar", action="append", help="probability level")
+    for flag, summary, _, _ in _EVAL_FLAGS:
+        p_eval.add_argument(flag, action="append", help=summary)
 
     p_dom = command("dominance", "stochastic dominance verdicts and margins")
     p_dom.add_argument("--compare", help="comma-separated values to compare against the benchmark")

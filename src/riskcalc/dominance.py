@@ -48,6 +48,12 @@ class DominanceConstraint:
     interval mode of the converse optimality branch); in that mode the grid
     stays inside (0, 1] and the p -> 0 endpoint is enforced through the
     augmented breakpoints, which is equivalent to comparing essential infima.
+
+    A bad interval raises DomainError with code E_INTERVAL.  The grid's
+    rules run in this order: every level in (0, 1] and inside [alpha, beta]
+    (DomainError, E_GRID_DOMAIN, naming the first level that is not), then
+    strictly increasing (StructuralError, E_GRID_ORDER), then alpha (when
+    > 0) and beta among the levels (StructuralError, E_GRID_DOMAIN).
     """
 
     benchmark: RandomVariable
@@ -57,25 +63,32 @@ class DominanceConstraint:
 
     def __post_init__(self):
         a, b = float(self.alpha), float(self.beta)
-        if not (0.0 <= a <= b <= 1.0):
-            raise DomainError(f"interval [{a}, {b}] must satisfy 0 <= alpha <= beta <= 1")
-        if a == 0.0 and b < 1.0:
-            raise DomainError("alpha = 0 requires beta = 1 (full-interval mode)")
+        if not (0.0 <= a <= b <= 1.0) or (a == 0.0 and b < 1.0):
+            raise DomainError(
+                f"interval [{a!r}, {b!r}] must satisfy 0 <= alpha <= beta <= 1,"
+                " with alpha = 0 only when beta = 1 (full-interval mode)",
+                code="E_INTERVAL",
+            )
         grid = tuple(float(p) for p in self.grid)
-        if not grid:
-            raise StructuralError("grid must be nonempty")
-        if not all(map(math.isfinite, grid)):
-            raise DomainError("grid levels must be finite")
-        if any(q <= p for p, q in zip(grid, grid[1:])):
-            raise StructuralError("grid levels must be strictly increasing")
-        if grid[0] < a or grid[-1] > b:
-            raise DomainError("grid levels must lie inside [alpha, beta]")
-        if grid[0] <= 0.0:
-            raise DomainError("grid levels must be strictly positive")
-        if a > 0.0 and grid[0] != a:
-            raise StructuralError("grid must include alpha")
-        if grid[-1] != b:
-            raise StructuralError("grid must include beta")
+        for i, p in enumerate(grid):
+            # b <= 1, so this also rejects a level that is not finite
+            if not (p > 0.0 and a <= p <= b):
+                raise DomainError(
+                    f"grid levels must be finite and lie in (0, 1], inside [{a!r}, {b!r}]:"
+                    f" grid[{i}] = {p!r}",
+                    code="E_GRID_DOMAIN",
+                )
+        for i in range(1, len(grid)):
+            if grid[i] <= grid[i - 1]:
+                raise StructuralError(
+                    f"grid levels must be strictly increasing: grid[{i}] = {grid[i]!r}"
+                    f" after {grid[i - 1]!r}",
+                    code="E_GRID_ORDER",
+                )
+        if a > 0.0 and grid[:1] != (a,):
+            raise StructuralError("grid must include alpha", code="E_GRID_DOMAIN")
+        if grid[-1:] != (b,):
+            raise StructuralError("grid must include beta", code="E_GRID_DOMAIN")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "grid", grid)

@@ -46,7 +46,8 @@ class InvariantViolation(RiskcalcError):
 class ProblemFormatError(RiskcalcError):
     """Problem file rejected during parsing or validation.
 
-    ``path`` locates the offending field, e.g. ``"constraint.grid[0]"``.
+    ``path`` locates the offending field, e.g. ``"constraint.grid"`` or
+    ``"objective.integrand[0][1].a"``.
     """
 
     def __init__(self, code: str, path: str, message: str):

@@ -29,14 +29,12 @@ from .scenario import RandomVariable, _running_sum
 
 class _Prefix(NamedTuple):
     """One stable sort of a variable's values (ties keep ascending scenario
-    index): the permutation, the sorted values and probabilities, and the
-    probability mass and the sum of p_(i) * z_(i) over the first j sorted
-    atoms (N + 1 entries each, 0 at j = 0; the total mass is clamped to
-    exactly 1)."""
+    index): the permutation, the sorted values, and the probability mass
+    and the sum of p_(i) * z_(i) over the first j sorted atoms (N + 1
+    entries each, 0 at j = 0; the total mass is clamped to exactly 1)."""
 
     order: np.ndarray
     values: np.ndarray
-    probs: np.ndarray
     mass: np.ndarray
     weighted: np.ndarray
 
@@ -52,7 +50,7 @@ def _sort_prefix(values: np.ndarray, probs: np.ndarray) -> _Prefix:
     q.cumsum(out=mass[1:])
     (q * v).cumsum(out=weighted[1:])
     mass[-1] = 1.0
-    return _Prefix(order, v, q, mass, weighted)
+    return _Prefix(order, v, mass, weighted)
 
 
 def _lorenz_prefix(pre: _Prefix, levels):
@@ -70,12 +68,10 @@ class SortedScenarioView:
     Built from the variable's ``values`` and ``probs`` arrays in scenario
     order; it keeps those arrays, not the variable, so caching the view on
     the variable makes no reference cycle.  ``order`` is a stable
-    permutation (ties keep ascending scenario index).
-    ``prefix_mass[j]`` and ``prefix_weighted[j]`` are the probability mass
-    and the sum of p_(i) * z_(i) over the first j sorted atoms (N + 1 entries
-    each, 0 at j = 0); the total mass is clamped to exactly 1, and
-    ``cum_probs`` is ``prefix_mass[1:]``.  All of them come from one
-    ``_sort_prefix`` call, made on first use.
+    permutation (ties keep ascending scenario index).  ``cum_probs[j]`` is
+    the probability mass of the first j + 1 sorted atoms, the last clamped to
+    exactly 1.  All of them come from one ``_sort_prefix`` call, made on
+    first use.
     """
 
     values: np.ndarray
@@ -97,20 +93,8 @@ class SortedScenarioView:
         return self._prefix.values
 
     @cached_property
-    def sorted_probs(self) -> np.ndarray:
-        return self._prefix.probs
-
-    @cached_property
-    def prefix_mass(self) -> np.ndarray:
-        return self._prefix.mass
-
-    @cached_property
     def cum_probs(self) -> np.ndarray:
-        return self.prefix_mass[1:]
-
-    @cached_property
-    def prefix_weighted(self) -> np.ndarray:
-        return self._prefix.weighted
+        return self._prefix.mass[1:]
 
 
 def sorted_view(Z: RandomVariable) -> SortedScenarioView:

@@ -12,9 +12,9 @@ equation.  They are constructed greedily on the sorted scenarios, with ties
 broken by ascending scenario index, so every identifier is reproducible: one
 ``np.lexsort`` orders the scenarios (tail value, then descending tilt, then
 index), and one sequential subtraction of the sorted probabilities from p
-gives the mass each atom takes (``_greedy_fill``).  ``RiskIdentifier``'s
-box and mean check is ``_check_identifier``; ``solve`` calls the fill and
-the check on its arrays, the public constructors through the same code.
+gives the mass each atom takes (``_greedy_fill``), which returns the
+density only once it passes the box and mean check ``_check_identifier``;
+``RiskIdentifier`` makes the same check on any density it is given.
 """
 
 from __future__ import annotations
@@ -58,17 +58,17 @@ class RiskIdentifier:
         z = np.ascontiguousarray(self.zeta, dtype=float)
         if z.shape != (self.space.size,):
             raise StructuralError("identifier density has wrong shape")
-        _check_identifier(self.space.probs, self.level, z)
+        _check_identifier(self.level, z, _running_sum(self.space.probs * z))
         z.flags.writeable = False
         object.__setattr__(self, "zeta", z)
 
 
-def _check_identifier(probs: np.ndarray, p: float, zeta: np.ndarray):
-    """The feasibility check of an identifier density at level p: the box
-    0 <= zeta <= 1/p and the unit mean, to IDENTIFIER_TOL."""
+def _check_identifier(p: float, zeta: np.ndarray, mean: float):
+    """The feasibility check of an identifier density at level p with this
+    mean E[zeta]: the box 0 <= zeta <= 1/p and the unit mean, to
+    IDENTIFIER_TOL."""
     if zeta.min() < -IDENTIFIER_TOL or zeta.max() > 1.0 / p + IDENTIFIER_TOL:
         raise StructuralError("identifier density violates its box")
-    mean = _running_sum(probs * zeta)
     if abs(mean - 1.0) > IDENTIFIER_TOL:
         raise StructuralError(f"identifier density has mean {mean!r}, not 1")
 
@@ -119,24 +119,29 @@ def _greedy_fill(order: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
     The mass still to place before each atom is p minus the atoms before it,
     subtracted one at a time; each atom takes min(its probability, that
     mass), none below zero, and its density is 1/p times the share of its
-    probability it takes.
+    probability it takes.  The density returned has passed
+    ``_check_identifier`` (StructuralError).
     """
     n = probs.size
     if p == 1.0:
         # Full-mass level: the box pins zeta to the constant density.
-        return np.ones(n)
-    q = probs[order]
-    remaining = np.empty(n)
-    remaining[0] = p
-    remaining[1:] = q[:-1]
-    np.subtract.accumulate(remaining, out=remaining)
-    zeta = np.empty(n)
-    zeta[order] = (1.0 / p) * (np.minimum(np.maximum(remaining, 0.0), q) / q)
-    # Mass can only be left over through rounding; the mean is repaired
-    # against the exact target below.
-    mean = _running_sum(probs * zeta)
-    if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
-        zeta /= mean
+        zeta = np.ones(n)
+        mean = _running_sum(probs)
+    else:
+        q = probs[order]
+        remaining = np.empty(n)
+        remaining[0] = p
+        remaining[1:] = q[:-1]
+        np.subtract.accumulate(remaining, out=remaining)
+        zeta = np.empty(n)
+        zeta[order] = (1.0 / p) * (np.minimum(np.maximum(remaining, 0.0), q) / q)
+        # Mass can only be left over through rounding; the mean is repaired
+        # against the exact target.
+        mean = _running_sum(probs * zeta)
+        if abs(mean - 1.0) > IDENTIFIER_TOL and mean > 0.0:
+            zeta /= mean
+            mean = _running_sum(probs * zeta)
+    _check_identifier(p, zeta, mean)
     return zeta
 
 
@@ -244,16 +249,15 @@ def _spectral_zeta(
     measure: SpectralMeasure,
     tilt: np.ndarray | None,
 ) -> np.ndarray:
-    """Weighted mixture of the per-level greedy identifiers, each checked for
-    its box and mean.  Their one greedy order is built only when a level is
-    below 1: at level 1 the box pins the identifier to the constant density,
-    so an expectation's mixture reads neither ``values`` nor ``tilt``."""
+    """Weighted mixture of the per-level greedy identifiers, each checked by
+    the fill for its box and mean.  Their one greedy order is built only
+    when a level is below 1: at level 1 the box pins the identifier to the
+    constant density, so an expectation's mixture reads neither ``values``
+    nor ``tilt``."""
     order = None if measure.is_expectation else _greedy_order(values, measure.orientation, tilt)
     out = np.zeros(probs.size)
     for p, w in zip(measure.levels, measure.weights):
-        zeta = _greedy_fill(order, probs, p)
-        _check_identifier(probs, p, zeta)
-        out += w * zeta
+        out += w * _greedy_fill(order, probs, p)
     return out
 
 

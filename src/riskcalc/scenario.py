@@ -8,6 +8,7 @@ BLAS threading.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,9 @@ class ProbSpace:
     """Finite scenario set with strictly positive probabilities summing to one.
 
     Input weights may be off by at most PROB_SUM_TOL; they are renormalized by
-    their exact sum so that downstream cumulative sums terminate at 1.
+    their exact sum so that downstream cumulative sums terminate at 1.  A
+    weight <= 0 raises DomainError with code E_PROB_POSITIVE, naming the
+    first such entry; a sum off by more, code E_PROB_SUM.
     """
 
     probs: np.ndarray
@@ -59,11 +62,16 @@ class ProbSpace:
         if not np.all(np.isfinite(p)):
             raise DomainError("probabilities must be finite")
         if np.any(p <= 0.0):
-            raise DomainError("probabilities must be strictly positive")
+            i = int(np.argmax(p <= 0.0))
+            raise DomainError(
+                f"probabilities must be strictly positive: probs[{i}] = {float(p[i])!r}",
+                code="E_PROB_POSITIVE",
+            )
         total = _running_sum(p)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(
-                f"probabilities sum to {total!r}, off by more than {PROB_SUM_TOL}"
+                f"probabilities sum to {total!r}, off by more than {PROB_SUM_TOL}",
+                code="E_PROB_SUM",
             )
         object.__setattr__(self, "probs", _readonly(p / total))
         if self.labels:
@@ -119,7 +127,8 @@ class RandomVariable:
         return self.space == other.space and bool(np.all(self.values == other.values))
 
     def __hash__(self):
-        return hash((hash(self.space), self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == treats as equal
+        return hash((hash(self.space), (self.values + 0.0).tobytes()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +145,9 @@ class InfoPartition:
 
     def __post_init__(self):
         n = self.space.size
+        indices = [i for b in self.blocks for i in b]
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in indices):
+            raise StructuralError("partition indices must be integers")
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
         if not blocks or any(len(b) == 0 for b in blocks):
             raise StructuralError("partition blocks must be nonempty")

@@ -100,7 +100,6 @@ from .quantiles import (
 from .risk import (
     Orientation,
     SpectralMeasure,
-    _check_identifier,
     _greedy_fill,
     _greedy_order,
     _spectral_value,
@@ -131,7 +130,8 @@ STOP_GAP = 1e-4
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """min risk(F(x)) over the box, subject to G(x) Lorenz-dominating the
-    benchmark on the constraint interval."""
+    benchmark on the constraint interval.  A box with a lower bound above
+    its upper bound raises DomainError with code E_BOX."""
 
     space: ProbSpace
     risk: SpectralMeasure
@@ -161,7 +161,7 @@ class ProblemSpec:
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise DomainError("box bounds must be finite")
         if np.any(lo > hi):
-            raise DomainError("box lower bounds exceed upper bounds")
+            raise DomainError("box lower bounds exceed upper bounds", code="E_BOX")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "box_lower", lo)
@@ -362,7 +362,6 @@ def solve(problem: ProblemSpec, opts: SolveOptions | None = None) -> Solution:
             p = float(levels[int(np.argmax(rho))])
             # The lower identifier's greedy order is G(x)'s stable sort.
             zeta = _greedy_fill(pre.order, probs, p)
-            _check_identifier(probs, p, zeta)
             step = -blocks(p * zeta, G._active_rows(g_vals, Zg)[0])
         gamma = gamma0 / math.sqrt(t + 1.0)
         x = np.minimum(np.maximum(x - gamma * step, lo), hi)
@@ -625,7 +624,6 @@ class _ResidualGeometry:
         problem, probs = self.problem, self.problem.space.probs
         rows, tilt = self._along(problem.constraint_integrand, self.g_vals, self.Zg, c)
         zeta = _greedy_fill(_greedy_order(self.Zg, Orientation.LOWER, -tilt), probs, p)
-        _check_identifier(probs, p, zeta)
         return -_conditional_blocks(problem.space, problem.partition, p * zeta, rows).ravel()
 
 

@@ -17,14 +17,45 @@ from riskcalc import (
     MaxAffineIntegrand,
     ProbSpace,
     RandomVariable,
+    brute_force_optimum,
     equiprobable,
+    solve,
 )
+from riskcalc.cli import load_problem
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 
 def instance_path(name: str) -> str:
     return os.path.join(INSTANCE_DIR, name + ".json")
+
+
+# Shipped instances, loaded once per session, with two results that take
+# seconds each: the 1e-3-grid brute-force optimum, and solve at the file's
+# budget.  Acceptance criterion 7 times its own solve of each instance and
+# stores it in BUDGET_SOLUTIONS; other tests read it from there.
+_LOADED = {}
+_BRUTE = {}
+BUDGET_SOLUTIONS = {}
+
+
+def load_shipped(name: str):
+    if name not in _LOADED:
+        _LOADED[name] = load_problem(instance_path(name))
+    return _LOADED[name]
+
+
+def brute_optimum(name: str):
+    if name not in _BRUTE:
+        _BRUTE[name] = brute_force_optimum(load_shipped(name).spec, grid_resolution=1e-3)
+    return _BRUTE[name]
+
+
+def solve_at_budget(name: str):
+    if name not in BUDGET_SOLUTIONS:
+        loaded = load_shipped(name)
+        BUDGET_SOLUTIONS[name] = solve(loaded.spec, loaded.options)
+    return BUDGET_SOLUTIONS[name]
 
 
 def rv(values, probs=None) -> RandomVariable:

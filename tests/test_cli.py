@@ -10,7 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from riskcalc import cli, dominance
+from riskcalc import (
+    DominanceConstraint,
+    InfoPartition,
+    MaxAffineIntegrand,
+    ProbSpace,
+    ProblemSpec,
+    RandomVariable,
+    SolveOptions,
+    SpectralMeasure,
+    cli,
+    dominance,
+)
 from riskcalc.cli import load_problem, run_command
 from riskcalc.errors import InvariantViolation, ProblemFormatError
 from riskcalc.solver import CERT_TOL
@@ -181,6 +192,51 @@ class TestDiagnosticCodes:
         doc["constraint"]["benchmark"] = [0.0, 1.0]
         expect_code(str(tmp_path), doc, "E_BENCHMARK")
 
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("space", "probs", [0.75, -0.5, 0.75],
+             "E_PROB_POSITIVE at space.probs: probabilities must be strictly positive:"
+             " probs[1] = -0.5\n"),
+            ("space", "probs", [0.5, 0.0, 0.5], "E_PROB_POSITIVE at space.probs:"),
+            ("space", "probs", [0.3, 0.3, 0.3], "E_PROB_SUM at space.probs:"),
+            ("constraint", "interval", [0.9, 0.5], "E_INTERVAL at constraint.interval:"),
+            ("constraint", "interval", [0.0, 0.5], "E_INTERVAL at constraint.interval:"),
+            ("constraint", "interval", [0.5, 1.5], "E_INTERVAL at constraint.interval:"),
+            ("constraint", "grid", [0.4, 0.5, 1.0],
+             "E_GRID_DOMAIN at constraint.grid: grid levels must be finite and lie in"
+             " (0, 1], inside [0.5, 1.0]: grid[0] = 0.4\n"),
+            ("constraint", "grid", [0.5, 1.0, 1.2], "E_GRID_DOMAIN at constraint.grid:"),
+            ("constraint", "grid", [0.5, 1.0, 0.75], "E_GRID_ORDER at constraint.grid:"),
+            ("constraint", "grid", [0.5, 1.0, 0.75, 1.2], "E_GRID_DOMAIN at constraint.grid:"),
+            ("constraint", "grid", [0.75, 1.0], "E_GRID_DOMAIN at constraint.grid:"),
+            ("constraint", "grid", [0.5, 0.75], "E_GRID_DOMAIN at constraint.grid:"),
+            ("constraint", "grid", [0.5, 0.75, 0.75, 1.0], "E_GRID_ORDER at constraint.grid:"),
+            ("feasible_box", "lower", [2.0], "E_BOX at feasible_box:"),
+        ],
+    )
+    def test_value_rules_exit_2_at_their_section(
+        self, tmp_path, section, key, value, expected, capsys
+    ):
+        # ProbSpace, DominanceConstraint and ProblemSpec raise these codes;
+        # the reader reports each at its section, with plain floats
+        doc = minimal_doc()
+        doc["space"]["probs"] = [0.25, 0.25, 0.5]
+        doc["objective"]["integrand"] = [[{"a": [1.0], "b": 0.0}]] * 3
+        doc["constraint"].update(
+            integrand=[[{"a": [1.0], "b": 0.0}]] * 3,
+            benchmark=[-10.0, -9.0, -8.0],
+            interval=[0.5, 1.0],
+            grid=[0.5, 0.75, 1.0],
+        )
+        assert run(["eval", "--problem", write_doc(str(tmp_path), doc)], capsys)[0] == 0
+        doc[section][key] = value
+        code, out, err = run(["eval", "--problem", write_doc(str(tmp_path), doc)], capsys)
+        assert code == 2
+        assert err.startswith(expected)
+        assert out == ""
+        assert "np." not in err
+
     def test_usage_missing_problem_flag(self, capsys):
         # argparse enforces the flag itself; still a code-2 usage failure
         code, _, err = run(["solve"], capsys)
@@ -338,12 +394,21 @@ class TestDiagnosticCodes:
 
 
     def test_readme_lists_the_codes_the_reader_emits(self):
-        # a deleted check must not leave a documented code that nothing emits
+        # a deleted check must not leave a documented code that nothing emits:
+        # the reader's own codes, and those the library constructors it calls
+        # raise on a value rule (it reports them by their code)
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
             (listed,) = re.findall(r"The codes:\s*`([^`]*)`", fh.read())
-        emitted = re.findall(r'_fail\(\s*"(E_[A-Z_]+)"', inspect.getsource(cli))
-        assert set(listed.split()) == set(emitted)
+        emitted = set(re.findall(r'_fail\(\s*"(E_[A-Z_]+)"', inspect.getsource(cli)))
+        constructors = (
+            ProbSpace, InfoPartition, SpectralMeasure, MaxAffineIntegrand,
+            RandomVariable, DominanceConstraint, ProblemSpec, SolveOptions,
+        )
+        for cls in constructors:
+            assert getattr(cli, cls.__name__) is cls
+            emitted |= set(re.findall(r'code="(E_[A-Z_]+)"', inspect.getsource(cls)))
+        assert set(listed.split()) == emitted
         assert len(listed.split()) == len(set(listed.split())) == 17
 
 

@@ -313,6 +313,29 @@ class TestConstraintConstruction:
         with pytest.raises(DomainError):
             make_constraint([1.0], 0.0, 1.0, [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "alpha, beta, grid, code, where",
+        [
+            (0.9, 0.5, [0.9], "E_INTERVAL", "[0.9, 0.5]"),
+            (0.0, 0.5, [0.5], "E_INTERVAL", "[0.0, 0.5]"),
+            (0.5, 1.5, [0.5, 1.5], "E_INTERVAL", "[0.5, 1.5]"),
+            (0.5, 1.0, [0.5, 0.75, 1.2], "E_GRID_DOMAIN", "grid[2] = 1.2"),
+            # every level's domain is checked before the order
+            (0.5, 1.0, [0.5, 1.0, 0.75, 0.4], "E_GRID_DOMAIN", "grid[3] = 0.4"),
+            (0.5, 1.0, [0.5, 1.0, 0.75], "E_GRID_ORDER", "grid[2] = 0.75"),
+            (0.5, 1.0, [0.5, 0.75, 0.75, 1.0], "E_GRID_ORDER", "grid[2] = 0.75"),
+            (0.5, 1.0, [0.75, 1.0], "E_GRID_DOMAIN", "alpha"),
+            (0.5, 1.0, [], "E_GRID_DOMAIN", "alpha"),
+            (0.0, 1.0, [0.5], "E_GRID_DOMAIN", "beta"),
+        ],
+    )
+    def test_rules_carry_their_codes(self, alpha, beta, grid, code, where):
+        # the problem-file reader reports these codes as they are raised
+        with pytest.raises((DomainError, StructuralError)) as err:
+            make_constraint([1.0], alpha, beta, grid)
+        assert err.value.code == code
+        assert where in str(err.value)
+
     def test_augmented_levels_include_breakpoints(self):
         C = make_constraint([1.0, 2.0, 3.0, 4.0], 0.5, 1.0, [0.5, 1.0])
         Z = rv([0.0, 1.0, 5.0])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcalc import (
+    DomainError,
     InfoPartition,
     ProbSpace,
     RandomVariable,
@@ -38,6 +39,16 @@ class TestProbSpace:
     def test_rejects_empty(self):
         with pytest.raises(StructuralError):
             ProbSpace([])
+
+    def test_value_rules_carry_their_codes(self):
+        # the problem-file reader reports these codes as they are raised
+        with pytest.raises(DomainError) as err:
+            ProbSpace([1.5, -0.5])
+        assert err.value.code == "E_PROB_POSITIVE"
+        assert "probs[1] = -0.5" in str(err.value)
+        with pytest.raises(DomainError) as err:
+            ProbSpace([0.45, 0.45])
+        assert err.value.code == "E_PROB_SUM"
 
     def test_singleton_space(self):
         space = ProbSpace([1.0])
@@ -133,6 +144,30 @@ class TestInfoPartition:
         space = equiprobable(2)
         with pytest.raises(StructuralError):
             InfoPartition(space, ((0, 1), ()))
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, True])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        # 1.7 was truncated to 1, and True counted as 1
+        space = equiprobable(2)
+        with pytest.raises(StructuralError):
+            InfoPartition(space, ((0,), (index,)))
+
+    def test_accepts_numpy_integer_indices(self):
+        space = equiprobable(3)
+        labels = np.array([1, 0, 1])
+        G = InfoPartition(space, tuple(tuple(np.nonzero(labels == j)[0]) for j in (0, 1)))
+        assert G.blocks == ((1,), (0, 2))
+        assert all(type(i) is int for b in G.blocks for i in b)
+
+
+class TestRandomVariableHash:
+    def test_equal_variables_hash_equal_across_signed_zeros(self):
+        space = equiprobable(2)
+        X = RandomVariable(space, [0.0, 1.0])
+        Y = RandomVariable(space, [-0.0, 1.0])
+        assert X == Y
+        assert hash(X) == hash(Y)
+        assert len({X, Y}) == 1
 
 
 class TestMeasurability:

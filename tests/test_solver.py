@@ -42,10 +42,13 @@ from tests.test_benchmark_names import perfbench_module
 from tests.conftest import (
     INSTANCE_DIR,
     abs_integrand,
+    brute_optimum,
     instance_path,
     integrand,
+    load_shipped,
     random_space,
     rv,
+    solve_at_budget,
 )
 
 E = SpectralMeasure.expectation()
@@ -575,13 +578,13 @@ class TestShippedInstances:
                 certify(prob, x, max_iters=bound)
 
     def test_partitioned_instance_roundtrip(self):
-        loaded = load("i05_block_medians")
-        prob = loaded.spec
-        assert prob.num_blocks == 2
-        sol = solve(prob, loaded.options)
+        # the solution at the file's budget and the brute-force optimum are
+        # shared with acceptance criterion 7
+        name = "i05_block_medians"
+        assert load_shipped(name).spec.num_blocks == 2
+        sol = solve_at_budget(name)
         assert sol.feasible
-        bf = brute_force_optimum(prob, grid_resolution=1e-3)
-        assert sol.objective_value <= bf.value + 1e-4
+        assert sol.objective_value <= brute_optimum(name).value + 1e-4
 
     @pytest.mark.parametrize("name", ["median", "i05_block_medians"])
     def test_one_kernel_call_per_integrand_and_iteration(self, name, monkeypatch):
